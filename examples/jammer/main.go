@@ -4,10 +4,10 @@
 // vs PPR for each.
 //
 // The adversaries come from the composable jam strategy registry: -jam
-// selects any subset of ppr.JamStrategyNames() (the default pair reproduces
-// the legacy periodic and reactive jammers bit-identically), so the same
-// binary also pits PPR against the adaptive preamble / sweep / learner
-// strategies without code changes.
+// selects any subset of ppr.JamStrategyNames() (the default pair is the
+// classic periodic and reactive jammers), so the same binary also pits PPR
+// against the adaptive preamble / sweep / learner strategies without code
+// changes.
 //
 // The point the paper's collision experiments make for hidden terminals
 // (Sec. 7.3) carries over to deliberate interference: a jam burst destroys

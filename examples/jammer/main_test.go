@@ -25,38 +25,6 @@ func quickSim(t *testing.T, sc ppr.Scenario) ([]*ppr.Transmission, []ppr.Outcome
 	return ppr.RunSim(cfg, []ppr.SimVariant{{Name: "postamble", UsePostamble: true}})
 }
 
-// TestRegistryJammersMatchLegacy pins the port: the registry-built jam
-// scenarios the example now runs drive the simulation bit-identically to
-// the legacy jammer-model constructions the example used before.
-func TestRegistryJammersMatchLegacy(t *testing.T) {
-	cases := []struct {
-		strategy string
-		legacy   ppr.JammerModel
-	}{
-		{"periodic", ppr.DefaultJammerModel()},
-		{"reactive", ppr.DefaultReactiveJammerModel()},
-	}
-	for _, tc := range cases {
-		t.Run(tc.strategy, func(t *testing.T) {
-			reg, err := ppr.ScenarioByName("jam-" + tc.strategy)
-			if err != nil {
-				t.Fatalf("ScenarioByName(jam-%s): %v", tc.strategy, err)
-			}
-			legacy := ppr.WithJammerScenario(ppr.PoissonScenario(), tc.legacy)
-
-			wantTxs, wantOuts := quickSim(t, legacy)
-			gotTxs, gotOuts := quickSim(t, reg)
-			if !reflect.DeepEqual(wantTxs, gotTxs) {
-				t.Errorf("registry scenario jam-%s schedules %d transmissions, legacy %d (or contents differ)",
-					tc.strategy, len(gotTxs), len(wantTxs))
-			}
-			if !reflect.DeepEqual(wantOuts, gotOuts) {
-				t.Errorf("registry scenario jam-%s receive outcomes differ from the legacy construction", tc.strategy)
-			}
-		})
-	}
-}
-
 // TestExportedStrategyPathMatchesRegistry checks the example's other API
 // surface: building the overlay by hand through ppr.JamStrategyByName +
 // ppr.WithJamStrategyScenario matches the prebuilt "jam-<name>" scenario.

@@ -87,8 +87,8 @@ func fig17Workload(o Options) (jammers []netsim.JammerNode, traffic scenario.Tra
 	}
 	for i := 0; i < testbed.NumSenders; i++ {
 		node := sc.Node(i, testbed.NumSenders)
-		if node.IgnoreCarrierSense || node.Reactive {
-			jammers = append(jammers, netsim.JammerNode{Sender: i, Node: node})
+		if node.Jam != nil {
+			jammers = append(jammers, netsim.JammerNode{Sender: i, Strategy: node.Jam, BurstBytes: node.PacketBytes})
 			continue
 		}
 		if traffic == nil && node.Model != nil && node.Model.Name() != (scenario.PoissonModel{}).Name() {
@@ -206,10 +206,10 @@ func fig17Ctx(ctx context.Context, o Options) (Fig17Result, error) {
 			c := cells[i]
 			pair := pairs[c.pair]
 			cfg := netsim.Config{
-				Testbed: tb,
+				Topo: tb,
 				Flows: []netsim.Flow{
-					{Sender: pair[0], Receiver: tb.BestReceiver(pair[0])},
-					{Sender: pair[1], Receiver: tb.BestReceiver(pair[1])},
+					{Sender: pair[0], Receiver: testbed.NumSenders + tb.BestReceiver(pair[0])},
+					{Sender: pair[1], Receiver: testbed.NumSenders + tb.BestReceiver(pair[1])},
 				},
 				LinkLayer:    layers[c.layer],
 				PacketBytes:  res.PacketBytes,

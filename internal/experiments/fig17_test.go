@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -13,6 +16,38 @@ func TestFig17WorkerInvariance(t *testing.T) {
 	many := Fig17(Options{Seed: 1, Quick: true, Workers: 4})
 	if !reflect.DeepEqual(one, many) {
 		t.Fatal("Fig17 results depend on worker count")
+	}
+}
+
+// fig17Digest hashes the sampled pairs and each layer's per-pair
+// throughput, airtime accounting and transfer counts into a golden constant.
+func fig17Digest(r Fig17Result) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%v\n", r.Pairs)
+	for _, c := range r.Curves {
+		fmt.Fprintf(h, "%s %v %+v %d %d\n", c.Layer, c.PairKbps, c.Air, c.Transfers, c.Failures)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestFig17QuickGolden freezes the quick closed-loop figure, clean and
+// under the periodic jammer. The digests were recorded while netsim still
+// took the testbed through a dedicated deployment field (receivers by
+// index) and shipped the legacy arrival-model jammers; the run on the
+// testbed as a Topology with global receiver IDs must reproduce them.
+func TestFig17QuickGolden(t *testing.T) {
+	golden := map[string]string{
+		"":                "b195f88b795efd8da318fdc6a8f66bebaceaf5a86d4d474153009bf57abefcd1",
+		"periodic-jammer": "e10da37ab015ebd0b959b1a1ef7d1af3ddce7336618cae44a6f7b2bf179ad85c",
+	}
+	for sc, want := range golden {
+		r := Fig17(Options{Seed: 1, Quick: true, Scenario: sc})
+		if got := fig17Digest(r); got != want {
+			t.Errorf("scenario %q: Fig17 digest %s, golden %s", sc, got, want)
+			for _, c := range r.Curves {
+				t.Logf("%s %v %+v %d %d", c.Layer, c.PairKbps, c.Air, c.Transfers, c.Failures)
+			}
+		}
 	}
 }
 

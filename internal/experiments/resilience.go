@@ -7,7 +7,6 @@ import (
 	"ppr/internal/jam"
 	"ppr/internal/netsim"
 	"ppr/internal/radio"
-	"ppr/internal/scenario"
 	"ppr/internal/topo"
 )
 
@@ -225,7 +224,6 @@ func resilienceCtx(ctx context.Context, o Options) (ResilienceResult, error) {
 					Strategy:      strat,
 					BurstBytes:    resilienceBurstBytes,
 					PowerDeltaDBm: resiliencePowers[c.power],
-					Node:          scenario.Node{IgnoreCarrierSense: true},
 				}},
 			}
 			r, err := netsim.RunContext(ctx, cfg)

@@ -47,9 +47,10 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 }
 
 // TestPeriodicMatchesLegacyDrawOrder pins the clock emitter's RNG draw
-// order to the legacy scenario.jammerArrivals contract: one Float64 for
-// the phase at construction, one Float64 per attempt iff jitter > 0. The
-// scenario-level bit parity tests build on this.
+// order to the legacy arrival-model jammer's contract: one Float64 for the
+// phase at construction, one Float64 per attempt iff jitter > 0. The
+// frozen golden jammer schedules in internal/sim and internal/netsim build
+// on this.
 func TestPeriodicMatchesLegacyDrawOrder(t *testing.T) {
 	const seed, period, jitter = 77, 50_000, 8_000
 	em := Periodic{PeriodChips: period, JitterChips: jitter}.

@@ -1,18 +1,19 @@
 package jam
 
-// The stock adversary roster. Periodic and reactive reproduce the legacy
-// scenario jammers bit-for-bit; the rest are the composable additions —
-// adaptive strategies and combinator-shaped variants. New strategies
+// The stock adversary roster. Periodic and reactive are the classic
+// constant and sense-then-jam jammers (the periodic-jammer and
+// reactive-jammer scenarios); the rest are adaptive strategies and
+// combinator-shaped variants. New strategies
 // register here (or from any other package's init) and immediately become
 // selectable by name everywhere: -jammer on the CLI, scenario overlays,
 // netsim jammer nodes and the resilience experiment.
 func init() {
 	Register("periodic", func() Strategy {
-		// scenario.DefaultJammer's timeline: 40-byte burst every ~25 ms.
+		// A burst every ~25 ms (40-byte bursts under scenario overlays).
 		return Periodic{PeriodChips: 50_000, JitterChips: 8_000}
 	})
 	Register("reactive", func() Strategy {
-		// scenario.DefaultReactiveJammer's timeline: sense every ~6 ms.
+		// Sense every ~6 ms, under half a 1500-byte frame's air time.
 		return Reactive{PeriodChips: 12_000, JitterChips: 2_000}
 	})
 	Register("preamble", func() Strategy { return Preamble{} })

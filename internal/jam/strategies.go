@@ -8,8 +8,7 @@ import (
 // ---- Periodic ----
 
 // Periodic jams on a jittered clock with no regard for channel state — the
-// classic constant jammer at a duty cycle. It reproduces the legacy
-// scenario.Jammer timeline bit-for-bit: the first attempt lands at a
+// classic constant jammer at a duty cycle. The first attempt lands at a
 // uniform phase of the period, and each attempt adds uniform jitter.
 type Periodic struct {
 	// PeriodChips is the interval between attempts; 0 means 50k chips
@@ -27,8 +26,9 @@ type Periodic struct {
 func (Periodic) Name() string { return "periodic" }
 
 // Emitter implements Strategy. The RNG draw order — one Float64 for the
-// phase at construction, one Float64 per attempt iff jitter > 0 — matches
-// scenario.jammerArrivals exactly; parity tests depend on it.
+// phase at construction, one Float64 per attempt iff jitter > 0 — is what
+// the frozen golden jammer schedules in internal/sim and internal/netsim
+// pin; changing it breaks them.
 func (s Periodic) Emitter(p Params, rng *stats.RNG) Emitter {
 	period := s.PeriodChips
 	if period <= 0 {
@@ -69,8 +69,8 @@ func (e *clockEmitter) Poll(o Observation) Burst {
 // ---- Reactive ----
 
 // Reactive senses on a dense clock and jams only when it finds energy
-// above the carrier-sense threshold — sense-then-jam. The clock reproduces
-// the legacy reactive scenario.Jammer timeline bit-for-bit.
+// above the carrier-sense threshold — sense-then-jam. It shares Periodic's
+// jittered clock and draw order.
 type Reactive struct {
 	// PeriodChips is the sensing clock; 0 means 12k chips, under half a
 	// 1500-byte frame's air time so ongoing packets are caught mid-flight.

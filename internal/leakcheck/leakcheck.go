@@ -5,6 +5,15 @@
 // before are still alive — filtered by stack, so runtime and test-harness
 // goroutines never count.
 //
+// A new goroutine counts against the test only if it is the test's own:
+// leakcheck walks each goroutine's "created by … in goroutine N" ancestry,
+// and a goroutine whose ancestry reaches another test's goroutine without
+// passing through this test's belongs to that test — a parallel sibling
+// holding its sessions open is not this test's leak. Ancestry is
+// remembered process-wide across every dump any check takes, so chains
+// survive creators that have since exited; a chain that cannot be traced
+// to any test goroutine still counts against the test.
+//
 // Usage:
 //
 //	func TestServer(t *testing.T) {
@@ -21,6 +30,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -46,11 +56,29 @@ var ignoredSubstrings = []string{
 
 // goroutine is one parsed entry of a full runtime.Stack dump.
 type goroutine struct {
-	id    int64
-	stack string
+	id     int64
+	parent int64 // from "created by … in goroutine N"; 0 if absent
+	stack  string
 }
 
-// stacks captures and parses every goroutine's stack.
+// origin is what the lineage memory keeps of a goroutine: its creator and
+// whether it is a test's own goroutine.
+type origin struct {
+	parent int64
+	test   bool
+}
+
+// lineage remembers the origin of every goroutine any dump has seen.
+// Goroutine IDs are never reused, so entries stay valid after the
+// goroutine exits.
+var lineage = struct {
+	sync.Mutex
+	m map[int64]origin
+}{m: map[int64]origin{}}
+
+// stacks captures and parses every goroutine's stack, the calling
+// goroutine's first (runtime.Stack's order), recording each one's origin
+// in the lineage memory.
 func stacks() []goroutine {
 	buf := make([]byte, 1<<20)
 	for {
@@ -62,6 +90,8 @@ func stacks() []goroutine {
 		buf = make([]byte, 2*len(buf))
 	}
 	var out []goroutine
+	lineage.Lock()
+	defer lineage.Unlock()
 	for _, g := range strings.Split(string(buf), "\n\n") {
 		g = strings.TrimSpace(g)
 		if g == "" {
@@ -77,9 +107,38 @@ func stacks() []goroutine {
 		if err != nil {
 			continue
 		}
-		out = append(out, goroutine{id: id, stack: g})
+		var parent int64
+		if _, created, ok := strings.Cut(g, "\ncreated by "); ok {
+			line, _, _ := strings.Cut(created, "\n")
+			if _, n, ok := strings.Cut(line, " in goroutine "); ok {
+				parent, _ = strconv.ParseInt(n, 10, 64)
+			}
+		}
+		out = append(out, goroutine{id: id, parent: parent, stack: g})
+		lineage.m[id] = origin{parent: parent, test: strings.Contains(g, "\ntesting.tRunner(")}
 	}
 	return out
+}
+
+// owned reports whether a goroutine created by goroutine id belongs to the
+// test running on goroutine root: the ancestry from id reaches root, or
+// reaches no test goroutine before the recorded lineage runs out.
+func owned(id, root int64) bool {
+	lineage.Lock()
+	defer lineage.Unlock()
+	sawTest := false
+	for hops := 0; hops <= len(lineage.m); hops++ {
+		if id == root {
+			return true
+		}
+		o, ok := lineage.m[id]
+		if !ok {
+			break
+		}
+		sawTest = sawTest || o.test
+		id = o.parent
+	}
+	return !sawTest
 }
 
 // ignored reports whether the goroutine's stack marks it as harness or
@@ -93,26 +152,30 @@ func ignored(g goroutine) bool {
 	return false
 }
 
-// Snapshot records the identities of the currently live goroutines.
+// Snapshot records the identities of the currently live goroutines and
+// the goroutine that took it — the test whose leaks it attributes.
 type Snapshot struct {
-	ids map[int64]bool
+	ids  map[int64]bool
+	root int64
 }
 
-// Take captures the current goroutine set.
+// Take captures the current goroutine set on behalf of the calling
+// goroutine's test.
 func Take() Snapshot {
+	gs := stacks()
 	ids := map[int64]bool{}
-	for _, g := range stacks() {
+	for _, g := range gs {
 		ids[g.id] = true
 	}
-	return Snapshot{ids: ids}
+	return Snapshot{ids: ids, root: gs[0].id}
 }
 
 // Leaked returns the stack-filtered goroutines alive now that were not in
-// the snapshot.
+// the snapshot and belong to the snapshot's test.
 func (s Snapshot) Leaked() []goroutine {
 	var out []goroutine
 	for _, g := range stacks() {
-		if !s.ids[g.id] && !ignored(g) {
+		if !s.ids[g.id] && !ignored(g) && owned(g.parent, s.root) {
 			out = append(out, g)
 		}
 	}

@@ -59,3 +59,39 @@ func TestIgnoredFilters(t *testing.T) {
 		}
 	}
 }
+
+// TestSiblingGoroutinesNotAttributed: goroutines descending from another
+// test's goroutine — a parallel sibling holding its sessions open — are not
+// this test's leaks, even when they start after this test's snapshot; a
+// goroutine of the test's own still is.
+func TestSiblingGoroutinesNotAttributed(t *testing.T) {
+	spawn := make(chan struct{})
+	spawned := make(chan struct{})
+	release := make(chan struct{})
+	defer close(release)
+	t.Run("sibling", func(t *testing.T) {
+		Take() // the sibling's own check
+		// A long-lived worker of the sibling that opens a session on demand.
+		go func() {
+			<-spawn
+			go func() { <-release }()
+			close(spawned)
+			<-release
+		}()
+	})
+	t.Run("checker", func(t *testing.T) {
+		snap := Take()
+		close(spawn)
+		<-spawned
+		if leaked := snap.Settle(50 * time.Millisecond); len(leaked) > 0 {
+			t.Fatalf("sibling's goroutine attributed to this test:\n%s", leaked[0].stack)
+		}
+		stop := make(chan struct{})
+		defer close(stop)
+		go func() { <-stop }() // this test's own leak
+		leaked := snap.Settle(50 * time.Millisecond)
+		if len(leaked) != 1 || !strings.Contains(leaked[0].stack, "TestSiblingGoroutinesNotAttributed.func2") {
+			t.Fatalf("own leak not reported exactly once: %d goroutine(s)", len(leaked))
+		}
+	})
+}

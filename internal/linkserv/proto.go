@@ -262,7 +262,7 @@ func appendReception(dst []byte, exch uint32, rec *frame.Reception) []byte {
 
 // parseReception decodes a MsgRx body into an owned Reception (nil when
 // the radio head acquired nothing). Limits reject hostile sizes before any
-// allocation proportional to them.
+// allocation proportional to them, and non-finite hints are rejected.
 func parseReception(b []byte) (exch uint32, rec *frame.Reception, err error) {
 	c := cursor{b: b}
 	exch = c.u32()
@@ -296,7 +296,12 @@ func parseReception(b []byte) (exch uint32, rec *frame.Reception, err error) {
 	r.Decisions = make([]phy.Decision, nDec)
 	for i := range r.Decisions {
 		r.Decisions[i].Symbol = c.u8()
-		r.Decisions[i].Hint = math.Float64frombits(c.u64())
+		// A NaN or infinite hint would poison the sender's chunk DP.
+		hint := math.Float64frombits(c.u64())
+		if math.IsNaN(hint) || math.IsInf(hint, 0) {
+			return 0, nil, errMalformed
+		}
+		r.Decisions[i].Hint = hint
 	}
 	nPay := int(c.u32())
 	if c.bad || nPay < 0 || nPay > frame.MaxPayload {

@@ -6,7 +6,6 @@ import (
 
 	"ppr/internal/obs"
 	"ppr/internal/radio"
-	"ppr/internal/scenario"
 	"ppr/internal/topo"
 )
 
@@ -69,7 +68,6 @@ func pounder(node int) JammerNode {
 	return JammerNode{Sender: node,
 		Strategy:   fixedChannelJam{period: 30_000, ch: 0},
 		BurstBytes: 250,
-		Node:       scenario.Node{IgnoreCarrierSense: true},
 	}
 }
 
@@ -144,7 +142,7 @@ func TestCountermeasureWorkerInvariance(t *testing.T) {
 		run := func(workers int, single bool) Result {
 			cfg := base
 			cfg.Workers = workers
-			cfg.SingleQueue = single
+			cfg.singleQueue = single
 			res, err := Run(cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", layer, err)

@@ -15,8 +15,8 @@ import (
 func ctxTestConfig() Config {
 	tb := testbed.New(radio.DefaultParams(), 1)
 	return Config{
-		Testbed:      tb,
-		Flows:        []Flow{{Sender: 0, Receiver: tb.BestReceiver(0)}, {Sender: 5, Receiver: tb.BestReceiver(5)}},
+		Topo:         tb,
+		Flows:        []Flow{bestFlow(tb, 0), bestFlow(tb, 5)},
 		PacketBytes:  250,
 		DurationSec:  0.5,
 		CarrierSense: true,

@@ -50,13 +50,13 @@
 // global flow index. Derive reads its parent's state without advancing it,
 // so concurrent shards draw from the shared base generator race-free, and
 // results are bit-identical for every worker count — and to the single
-// merged event queue (Config.SingleQueue), which exists as the reference
-// engine for that equivalence.
+// merged event queue (the unexported Config.singleQueue test hook), which
+// exists as the reference engine for that equivalence.
 //
-// Jammer nodes from internal/scenario integrate as pure event sources: their
-// arrival models fire jam frames onto the timeline (reactive ones sense
-// first), which interfere with — and trigger recovery in — every flow in
-// their domain.
+// Jammer nodes integrate as pure event sources driven by internal/jam
+// strategies: the engine polls each strategy's emitter with what the jammer
+// senses, and the bursts it fires interfere with — and trigger recovery
+// in — every flow in their domain.
 package netsim
 
 import (
@@ -72,7 +72,6 @@ import (
 	"ppr/internal/radio"
 	"ppr/internal/scenario"
 	"ppr/internal/stats"
-	"ppr/internal/testbed"
 )
 
 // Topology abstracts the deployment a run executes on: a node count, the
@@ -90,37 +89,25 @@ type Topology interface {
 }
 
 // Flow is one closed-loop traffic flow: a sender streaming packets to a
-// receiver through a LinkLayer.
+// receiver through a LinkLayer. Both are global node IDs of the Topology
+// (on the paper's testbed, receiver r is node testbed.NumSenders+r).
 type Flow struct {
-	// Sender is the sending node. On the testbed it is the sender index
-	// (global node ID Sender); on a Topology it is the global node ID.
-	Sender int
-	// Receiver is the receiving node. On the testbed it is the receiver
-	// index (global node ID testbed.NumSenders+Receiver); on a Topology it
-	// is the global node ID.
+	Sender   int
 	Receiver int
 }
 
 // JammerNode overlays an adversarial event source on the shared channel: a
-// node position transmitting jam bursts either under a legacy scenario
-// traffic model or under a composable internal/jam strategy.
+// node transmitting jam bursts under a composable internal/jam strategy,
+// regardless of carrier sense.
 type JammerNode struct {
-	// Sender is the node the jammer transmits from: a testbed sender index,
-	// or a global node ID on a Topology. It must not also carry a Flow.
+	// Sender is the global node ID the jammer transmits from. It must not
+	// also be a flow endpoint.
 	Sender int
-	// Node is the legacy scenario behaviour: Model generates jam arrivals,
-	// PacketBytes sizes the bursts, IgnoreCarrierSense/Reactive set the MAC
-	// discipline. Node.Jam, when set, counts as Strategy (scenario overlays
-	// carry strategies there).
-	Node scenario.Node
-	// Strategy, when set, drives the jammer through the composable adversary
-	// model: the engine polls the strategy's emitter at the instants it asks
-	// for, hands it a per-channel busy observation plus the audible active
-	// transmissions, and commits a burst when it fires. Exactly one of
-	// Strategy (or Node.Jam) and Node.Model must be set.
+	// Strategy drives the jammer: the engine polls the strategy's emitter at
+	// the instants it asks for, hands it a per-channel busy observation plus
+	// the audible active transmissions, and commits a burst when it fires.
 	Strategy jam.Strategy
-	// BurstBytes sizes strategy bursts; 0 falls back to Node.PacketBytes,
-	// then to 40 bytes.
+	// BurstBytes sizes the bursts; 0 means scenario.JamBurstBytes (40).
 	BurstBytes int
 	// PowerDeltaDBm shifts this jammer's link budget toward every other node
 	// — a stronger (or weaker) adversary without touching the topology.
@@ -129,12 +116,9 @@ type JammerNode struct {
 
 // Config describes one closed-loop run.
 type Config struct {
-	// Testbed is the paper's deployment to run on. Exactly one of Testbed
-	// and Topo must be set.
-	Testbed *testbed.Testbed
-	// Topo is a declarative deployment (internal/topo, or anything
-	// satisfying Topology). When set, Flow and JammerNode node fields are
-	// global node IDs.
+	// Topo is the deployment to run on: the paper's *testbed.Testbed, a
+	// declarative internal/topo layout, or anything satisfying Topology.
+	// Flow and JammerNode node fields are its global node IDs.
 	Topo Topology
 	// Flows are the concurrent closed-loop flows sharing the channel.
 	Flows []Flow
@@ -178,16 +162,16 @@ type Config struct {
 	// concurrently; 0 means one per CPU. Results are bit-identical for
 	// every value — parallelism is pure mechanism.
 	Workers int
-	// SingleQueue forces all domains through one merged event queue — the
-	// pre-sharding reference engine. Results are bit-identical to the
-	// sharded runs; it exists for the worker-invariance proof and as a
-	// debugging reference.
-	SingleQueue bool
 	// Tracer, when non-nil, records the run's discrete-event timeline in
 	// Chrome trace format (one lane per interference domain; transmissions
 	// and backoffs as spans, receptions as instants — see internal/obs).
 	// Purely observational: the Result is bit-identical with or without it.
 	Tracer *obs.Tracer
+
+	// singleQueue forces all domains through one merged event queue — the
+	// pre-sharding reference engine. Results are bit-identical to the
+	// sharded runs; the package's tests set it to prove worker invariance.
+	singleQueue bool
 }
 
 // FlowResult is one flow's accounting over a run.
@@ -273,7 +257,6 @@ const maxTopologyNodes = 0xffff
 // and endpoint global node IDs.
 type flowSpec struct {
 	id       int
-	cfg      Flow
 	src, dst int
 }
 
@@ -329,7 +312,7 @@ type runState struct {
 
 // Run executes one closed-loop simulation. It is a pure function of cfg:
 // the same configuration always produces the identical Result, whatever
-// Workers and SingleQueue say.
+// Workers says.
 func Run(cfg Config) (Result, error) {
 	return RunContext(context.Background(), cfg)
 }
@@ -389,18 +372,11 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 }
 
 // normalize validates the configuration and resolves flows and jammers to
-// global node IDs under either deployment model.
+// their specs.
 func normalize(cfg Config) (Topology, []flowSpec, []jamSpec, error) {
-	var top Topology
-	switch {
-	case cfg.Testbed == nil && cfg.Topo == nil:
-		return nil, nil, nil, fmt.Errorf("netsim: nil testbed")
-	case cfg.Testbed != nil && cfg.Topo != nil:
-		return nil, nil, nil, fmt.Errorf("netsim: both Testbed and Topo set")
-	case cfg.Testbed != nil:
-		top = cfg.Testbed
-	default:
-		top = cfg.Topo
+	top := cfg.Topo
+	if top == nil {
+		return nil, nil, nil, fmt.Errorf("netsim: nil Topo")
 	}
 	if len(cfg.Flows) == 0 {
 		return nil, nil, nil, fmt.Errorf("netsim: no flows")
@@ -416,53 +392,41 @@ func normalize(cfg Config) (Topology, []flowSpec, []jamSpec, error) {
 		return nil, nil, nil, fmt.Errorf("netsim: %d nodes exceed the %d frame addressing allows", nn, maxTopologyNodes)
 	}
 
-	onTestbed := cfg.Testbed != nil
 	flows := make([]flowSpec, len(cfg.Flows))
 	endpoint := make(map[int]bool) // any flow endpoint
 	sender := make(map[int]bool)   // flow senders (one radio per node)
 	for i, f := range cfg.Flows {
-		var src, dst int
-		if onTestbed {
-			if f.Sender < 0 || f.Sender >= testbed.NumSenders || f.Receiver < 0 || f.Receiver >= testbed.NumReceivers {
-				return nil, nil, nil, fmt.Errorf("netsim: flow %v out of deployment bounds", f)
-			}
-			src, dst = f.Sender, testbed.NumSenders+f.Receiver
-		} else {
-			if f.Sender < 0 || f.Sender >= nn || f.Receiver < 0 || f.Receiver >= nn {
-				return nil, nil, nil, fmt.Errorf("netsim: flow %v out of deployment bounds", f)
-			}
-			if f.Sender == f.Receiver {
-				return nil, nil, nil, fmt.Errorf("netsim: flow %v sends to itself", f)
-			}
-			src, dst = f.Sender, f.Receiver
+		if f.Sender < 0 || f.Sender >= nn || f.Receiver < 0 || f.Receiver >= nn {
+			return nil, nil, nil, fmt.Errorf("netsim: flow %v out of deployment bounds", f)
 		}
-		if sender[src] {
-			return nil, nil, nil, fmt.Errorf("netsim: sender %d carries two flows (one radio per node)", src)
+		if f.Sender == f.Receiver {
+			return nil, nil, nil, fmt.Errorf("netsim: flow %v sends to itself", f)
 		}
-		sender[src] = true
-		endpoint[src], endpoint[dst] = true, true
-		flows[i] = flowSpec{id: i, cfg: f, src: src, dst: dst}
+		if sender[f.Sender] {
+			return nil, nil, nil, fmt.Errorf("netsim: sender %d carries two flows (one radio per node)", f.Sender)
+		}
+		sender[f.Sender] = true
+		endpoint[f.Sender], endpoint[f.Receiver] = true, true
+		flows[i] = flowSpec{id: i, src: f.Sender, dst: f.Receiver}
 	}
 
 	jams := make([]jamSpec, len(cfg.Jammers))
 	jammed := make(map[int]bool)
 	for i, j := range cfg.Jammers {
 		node := j.Sender
-		if onTestbed {
-			if node < 0 || node >= testbed.NumSenders || sender[node] {
-				return nil, nil, nil, fmt.Errorf("netsim: jammer node %d invalid or already a flow sender", node)
-			}
-		} else if node < 0 || node >= nn || endpoint[node] {
+		if node < 0 || node >= nn || endpoint[node] {
 			return nil, nil, nil, fmt.Errorf("netsim: jammer node %d invalid or already a flow endpoint", node)
 		}
 		if jammed[node] {
 			return nil, nil, nil, fmt.Errorf("netsim: jammer node %d used twice (one radio per node)", node)
 		}
-		jammed[node] = true
-		sender[node] = true
-		if (jamStrategy(j) != nil) == (j.Node.Model != nil) {
-			return nil, nil, nil, fmt.Errorf("netsim: jammer node %d must set exactly one of a jam strategy and a traffic model", node)
+		if j.Strategy == nil {
+			return nil, nil, nil, fmt.Errorf("netsim: jammer node %d has no jam strategy", node)
 		}
+		if j.BurstBytes <= 0 {
+			j.BurstBytes = scenario.JamBurstBytes
+		}
+		jammed[node] = true
 		jams[i] = jamSpec{id: i, node: node, spec: j}
 	}
 	return top, flows, jams, nil
@@ -584,14 +548,14 @@ func newRunState(cfg Config, top Topology, flows []flowSpec, jams []jamSpec) *ru
 }
 
 // buildShards groups flows and jammers into one shard per interference
-// domain — or one shard total under SingleQueue. Domains with no event
+// domain — or one shard total under singleQueue. Domains with no event
 // sources get no shard: nothing would ever happen there.
 func buildShards(rs *runState, flows []flowSpec, jams []jamSpec, maker Maker) []*shard {
 	byDomain := make(map[int32]*shard)
 	var shards []*shard
 	shardFor := func(node int) *shard {
 		d := rs.domainOf[node]
-		if rs.cfg.SingleQueue {
+		if rs.cfg.singleQueue {
 			d = 0 // one merged queue
 		}
 		s, ok := byDomain[d]
@@ -671,24 +635,4 @@ func layerConfig(cfg Config) LinkConfig {
 		MaxAttempts: cfg.MaxAttempts,
 		NumChannels: nCh,
 	}
-}
-
-// jamStrategy resolves a jammer's strategy: the explicit field, or the one a
-// scenario overlay put on its node.
-func jamStrategy(j JammerNode) jam.Strategy {
-	if j.Strategy != nil {
-		return j.Strategy
-	}
-	return j.Node.Jam
-}
-
-// jamBytes returns a jammer's burst payload size.
-func jamBytes(j JammerNode) int {
-	if j.BurstBytes > 0 {
-		return j.BurstBytes
-	}
-	if j.Node.PacketBytes > 0 {
-		return j.Node.PacketBytes
-	}
-	return 40
 }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ppr/internal/jam"
 	"ppr/internal/radio"
 	"ppr/internal/scenario"
 	"ppr/internal/testbed"
@@ -16,12 +17,12 @@ func bed() *testbed.Testbed {
 
 // bestFlow builds the flow from sender s to its strongest receiver.
 func bestFlow(tb *testbed.Testbed, s int) Flow {
-	return Flow{Sender: s, Receiver: tb.BestReceiver(s)}
+	return Flow{Sender: s, Receiver: testbed.NumSenders + tb.BestReceiver(s)}
 }
 
 func baseConfig(tb *testbed.Testbed) Config {
 	return Config{
-		Testbed:      tb,
+		Topo:         tb,
 		Flows:        []Flow{bestFlow(tb, 0)},
 		PacketBytes:  250,
 		DurationSec:  0.25,
@@ -137,18 +138,15 @@ func TestJammerDegradesDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jam := clean
+	jammed := clean
 	// A heavy periodic jammer colocated near the flow's receiver, ignoring
 	// carrier sense.
-	jam.Jammers = []JammerNode{{
-		Sender: 9,
-		Node: scenario.Node{
-			Model:              scenario.Jammer{PeriodChips: 12_000, BurstBytes: 120, JitterChips: 1_000},
-			PacketBytes:        120,
-			IgnoreCarrierSense: true,
-		},
+	jammed.Jammers = []JammerNode{{
+		Sender:     9,
+		Strategy:   jam.Periodic{PeriodChips: 12_000, JitterChips: 1_000},
+		BurstBytes: 120,
 	}}
-	jamRes, err := Run(jam)
+	jamRes, err := Run(jammed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,13 +167,9 @@ func TestReactiveJammerOnlyFiresIntoTraffic(t *testing.T) {
 	tb := bed()
 	cfg := baseConfig(tb)
 	cfg.Jammers = []JammerNode{{
-		Sender: 9,
-		Node: scenario.Node{
-			Model:              scenario.DefaultReactiveJammer(),
-			PacketBytes:        scenario.DefaultReactiveJammer().BurstBytes,
-			IgnoreCarrierSense: true,
-			Reactive:           true,
-		},
+		Sender:     9,
+		Strategy:   jam.Reactive{PeriodChips: 12_000, JitterChips: 2_000},
+		BurstBytes: scenario.ReactiveBurstBytes,
 	}}
 	res, err := Run(cfg)
 	if err != nil {
@@ -193,15 +187,16 @@ func TestReactiveJammerOnlyFiresIntoTraffic(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	tb := bed()
+	f := Flow{0, testbed.NumSenders}
 	bad := []Config{
-		{Testbed: tb},                        // no flows
-		{Flows: []Flow{{0, 0}}},              // no testbed
-		{Testbed: tb, Flows: []Flow{{0, 0}}}, // no packet size/duration
-		{Testbed: tb, Flows: []Flow{{0, 0}, {0, 1}}, PacketBytes: 100, DurationSec: 1}, // dup sender
-		{Testbed: tb, Flows: []Flow{{30, 0}}, PacketBytes: 100, DurationSec: 1},        // out of range
-		{Testbed: tb, Flows: []Flow{{0, 0}}, PacketBytes: 100, DurationSec: 1, LinkLayer: "nope"},
-		{Testbed: tb, Flows: []Flow{{0, 0}}, PacketBytes: 100, DurationSec: 1,
-			Jammers: []JammerNode{{Sender: 0, Node: scenario.Node{Model: scenario.DefaultJammer()}}}}, // jammer on flow sender
+		{Topo: tb},                   // no flows
+		{Flows: []Flow{f}},           // no deployment
+		{Topo: tb, Flows: []Flow{f}}, // no packet size/duration
+		{Topo: tb, Flows: []Flow{f, {0, testbed.NumSenders + 1}}, PacketBytes: 100, DurationSec: 1}, // dup sender
+		{Topo: tb, Flows: []Flow{{30, testbed.NumSenders}}, PacketBytes: 100, DurationSec: 1},       // out of range
+		{Topo: tb, Flows: []Flow{f}, PacketBytes: 100, DurationSec: 1, LinkLayer: "nope"},
+		{Topo: tb, Flows: []Flow{f}, PacketBytes: 100, DurationSec: 1,
+			Jammers: []JammerNode{{Sender: 0, Strategy: jam.Periodic{}}}}, // jammer on flow sender
 	}
 	for i, cfg := range bad {
 		if _, err := Run(cfg); err == nil {

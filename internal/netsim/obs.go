@@ -76,7 +76,7 @@ func newNetsimMetrics(flows []flowSpec) *netsimMetrics {
 	m.flowDelivered = make([]*obs.Counter, len(flows))
 	for _, f := range flows {
 		m.flowDelivered[f.id] = r.Counter(
-			fmt.Sprintf("netsim.flow.s%d_r%d.delivered_bytes", f.cfg.Sender, f.cfg.Receiver))
+			fmt.Sprintf("netsim.flow.s%d_r%d.delivered_bytes", f.src, f.dst))
 	}
 	return m
 }

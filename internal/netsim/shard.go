@@ -185,12 +185,10 @@ func (l *engineLink) SetChannel(ch int) {
 	l.ch = uint8(ch)
 }
 
-// jamProc is one jammer event source: either a legacy arrival-model jammer
-// (arrivals set) or a strategy emitter (em set).
+// jamProc is one jammer event source: a strategy emitter.
 type jamProc struct {
 	spec     jamSpec
 	idx      int32 // shard-local index
-	arrivals scenario.Arrivals
 	em       jam.Emitter
 	spanName string
 	rng      *stats.RNG
@@ -205,7 +203,7 @@ type jamProc struct {
 var busyParityCheck func(accMW, bruteMW float64)
 
 // shard is the discrete-event core of one interference domain (or, under
-// SingleQueue, of the whole deployment). It owns its event queue, committed
+// singleQueue, of the whole deployment). It owns its event queue, committed
 // timeline, receiver pipeline and coroutines; all cross-shard state lives
 // in runState at indices no other shard touches.
 type shard struct {
@@ -232,9 +230,9 @@ type shard struct {
 
 	overlaps []radio.Overlap // receive() scratch, reused across windows
 
-	// Strategy-jammer observation scratch, reused across polls (the
-	// Observation contract says so); obsBusy is sized to the channel count
-	// when the first strategy jammer binds.
+	// Jammer observation scratch, reused across polls (the Observation
+	// contract says so); obsBusy is sized to the channel count when the
+	// first jammer binds.
 	obsBusy []float64
 	obsTxs  []jam.ActiveTx
 
@@ -259,7 +257,7 @@ func (s *shard) addFlow(spec flowSpec, maker Maker) {
 		idx:    int32(len(s.flows)),
 		sh:     s,
 		resume: make(chan *frame.Reception),
-		res:    FlowResult{Flow: spec.cfg},
+		res:    FlowResult{Flow: Flow{Sender: spec.src, Receiver: spec.dst}},
 	}
 	src, dst := uint16(spec.src), uint16(spec.dst)
 	fwd := &engineLink{fl: fl, from: spec.src, to: spec.dst}
@@ -268,43 +266,33 @@ func (s *shard) addFlow(spec flowSpec, maker Maker) {
 	s.flows = append(s.flows, fl)
 }
 
-// addJam binds one jammer event source to the shard. Strategy jammers split
-// their emitter RNG from the same per-node derived stream the legacy path
-// splits its arrival model from, so a strategy that replicates an arrival
-// model's draw order replays its timeline bit for bit.
+// addJam binds one jammer event source to the shard. The emitter's RNG is
+// split from a per-node derived stream, so a jammer's timeline does not
+// depend on which shard runs it.
 func (s *shard) addJam(spec jamSpec) {
-	jp := &jamProc{
-		spec: spec,
-		idx:  int32(len(s.jams)),
-		rng:  s.rs.base.Derive(uint64(spec.node), tagJammer),
-		buf:  make([]byte, jamBytes(spec.spec)),
+	p := jam.Params{
+		DurationChips: s.rs.endChip,
+		BurstBytes:    spec.spec.BurstBytes,
+		ThresholdMW:   s.rs.csma.ThresholdMW,
+		NoiseMW:       s.rs.noiseMW,
+		NumChannels:   s.rs.nCh,
 	}
-	if strat := jamStrategy(spec.spec); strat != nil {
-		p := jam.Params{
-			DurationChips: s.rs.endChip,
-			BurstBytes:    jamBytes(spec.spec),
-			ThresholdMW:   s.rs.csma.ThresholdMW,
-			NoiseMW:       s.rs.noiseMW,
-			NumChannels:   s.rs.nCh,
-		}
-		if pos, ok := s.rs.top.(interface{ Position(int) radio.Position }); ok {
-			pt := pos.Position(spec.node)
-			p.X, p.Y, p.HasPos = pt.X, pt.Y, true
-		}
-		jp.em = strat.Emitter(p, jp.rng.Split())
-		jp.spanName = "jam " + strat.Name()
-		if s.obsBusy == nil {
-			s.obsBusy = make([]float64, s.rs.nCh)
-		}
-	} else {
-		jp.spanName = "jam"
-		jp.arrivals = spec.spec.Node.Model.Arrivals(scenario.Params{
-			OfferedBps:    s.rs.cfg.OfferedBps,
-			PacketBytes:   jamBytes(spec.spec),
-			DurationChips: s.rs.endChip,
-		}, jp.rng.Split())
+	if pos, ok := s.rs.top.(interface{ Position(int) radio.Position }); ok {
+		pt := pos.Position(spec.node)
+		p.X, p.Y, p.HasPos = pt.X, pt.Y, true
 	}
-	s.jams = append(s.jams, jp)
+	rng := s.rs.base.Derive(uint64(spec.node), tagJammer)
+	s.jams = append(s.jams, &jamProc{
+		spec:     spec,
+		idx:      int32(len(s.jams)),
+		em:       spec.spec.Strategy.Emitter(p, rng.Split()),
+		spanName: "jam " + spec.spec.Strategy.Name(),
+		rng:      rng,
+		buf:      make([]byte, spec.spec.BurstBytes),
+	})
+	if s.obsBusy == nil {
+		s.obsBusy = make([]float64, s.rs.nCh)
+	}
 }
 
 // run executes the shard's event loop to completion: start each flow
@@ -399,17 +387,12 @@ func (s *shard) abortFlow(fl *flowProc) {
 	}
 }
 
-// scheduleJam enqueues a jammer's next arrival (or strategy poll), dropping
-// instants past the end of the run. Both sources advance their stream here
-// even when the resulting event is later absorbed, so the jammer's RNG
-// consumption is a pure function of time.
+// scheduleJam enqueues a jammer's next poll, dropping instants past the end
+// of the run. The emitter advances its stream here even when the resulting
+// event is later absorbed, so the jammer's RNG consumption is a pure
+// function of time.
 func (s *shard) scheduleJam(jp *jamProc) {
-	var t int64
-	if jp.em != nil {
-		t = jp.em.NextPoll()
-	} else {
-		t = jp.arrivals.Next()
-	}
+	t := jp.em.NextPoll()
 	if t >= s.rs.endChip {
 		return
 	}
@@ -520,50 +503,32 @@ func (s *shard) processTx(ev event) {
 	s.push(event{t: s.txs[idx].end(), kind: evDeliver, fl: ev.fl, jam: -1, tx: int32(idx)})
 }
 
-// processJam handles a jammer arrival: reactive jammers fire only into a
-// busy channel; none of them back off.
+// processJam handles a jammer poll: the strategy sees what the jammer
+// senses and decides whether to burst. Jammers never back off.
 func (s *shard) processJam(ev event) {
 	jp := s.jams[ev.jam]
 	t := ev.t
 	s.advancePrune(t)
 	if free := s.rs.nodeFree[jp.spec.node]; free > t {
-		// The jammer's own previous burst is still on the air; this arrival
-		// is absorbed (its poll found the radio busy). scheduleJam still
-		// advances the jammer's stream, so absorbed and fired polls consume
-		// RNG identically.
+		// The jammer's own previous burst is still on the air; this poll
+		// is absorbed. scheduleJam still advances the jammer's stream, so
+		// the jammer's RNG consumption does not depend on absorption.
 		s.scheduleJam(jp)
 		return
 	}
-	var fire bool
-	var ch uint8
+	// The observation never draws RNG, and the emitter draws in
+	// observation-independent order, so the decision is reproducible for any
+	// partitioning.
+	b := jp.em.Poll(s.observe(jp.spec.node, t))
+	ch := uint8(int(b.Channel) % s.rs.nCh)
 	burstBytes := len(jp.buf)
-	if jp.em != nil {
-		// Strategy path: hand the emitter what it can sense and let it
-		// decide. The observation never draws RNG, and the emitter draws in
-		// observation-independent order, so the decision is reproducible for
-		// any partitioning.
-		b := jp.em.Poll(s.observe(jp.spec.node, t))
-		fire = b.Fire
-		ch = uint8(int(b.Channel) % s.rs.nCh)
-		if b.Bytes > 0 {
-			burstBytes = b.Bytes
-			if burstBytes > frame.MaxPayload {
-				burstBytes = frame.MaxPayload
-			}
-		}
-		if fire && !jp.spec.spec.Node.IgnoreCarrierSense && s.rs.csma.Enabled &&
-			s.obsBusy[ch] >= s.rs.csma.ThresholdMW {
-			fire = false // a polite adversary defers like anyone
-		}
-	} else {
-		fire = true
-		if jp.spec.spec.Node.Reactive {
-			fire = s.busyMW(jp.spec.node, 0, t) >= s.rs.csma.ThresholdMW
-		} else if !jp.spec.spec.Node.IgnoreCarrierSense && s.rs.csma.Enabled && s.busyMW(jp.spec.node, 0, t) >= s.rs.csma.ThresholdMW {
-			fire = false // a polite "jammer" (hostile workload) defers like anyone
+	if b.Bytes > 0 {
+		burstBytes = b.Bytes
+		if burstBytes > frame.MaxPayload {
+			burstBytes = frame.MaxPayload
 		}
 	}
-	if fire {
+	if b.Fire {
 		if burstBytes != len(jp.buf) {
 			if burstBytes <= cap(jp.buf) {
 				jp.buf = jp.buf[:burstBytes]
@@ -650,7 +615,7 @@ func (s *shard) commit(node int, ch uint8, start int64, chips *bitutil.ChipWords
 		rs.contrib[base+int(v)]++
 	}
 	heapPush(&s.active, activeTx{end: start + air, idx: int32(idx)})
-	// Union channel occupancy, accounted per domain so SingleQueue and
+	// Union channel occupancy, accounted per domain so singleQueue and
 	// sharded runs agree chip for chip.
 	d := rs.domainOf[node]
 	busyFrom := start
@@ -772,9 +737,8 @@ func (fl *flowProc) main() {
 	var arrivals scenario.Arrivals
 	if rs.cfg.Traffic != nil {
 		arrivals = rs.cfg.Traffic.Arrivals(scenario.Params{
-			OfferedBps:    rs.cfg.OfferedBps,
-			PacketBytes:   rs.cfg.PacketBytes,
-			DurationChips: rs.endChip,
+			OfferedBps:  rs.cfg.OfferedBps,
+			PacketBytes: rs.cfg.PacketBytes,
 		}, payloadRng.Split())
 	}
 	appBytes := fl.ll.AppBytesPerPacket(rs.cfg.PacketBytes)

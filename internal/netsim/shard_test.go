@@ -7,9 +7,9 @@ import (
 	"sync"
 	"testing"
 
+	"ppr/internal/jam"
 	"ppr/internal/mac"
 	"ppr/internal/radio"
-	"ppr/internal/scenario"
 	"ppr/internal/topo"
 )
 
@@ -53,16 +53,13 @@ func TestShardWorkerInvariance(t *testing.T) {
 		CarrierSense: true,
 		Seed:         7,
 		Jammers: []JammerNode{{
-			Sender: 4, // the flow-less node of cell 0
-			Node: scenario.Node{
-				Model:              scenario.Jammer{PeriodChips: 9_000, BurstBytes: 60, JitterChips: 500},
-				PacketBytes:        60,
-				IgnoreCarrierSense: true,
-			},
+			Sender:     4, // the flow-less node of cell 0
+			Strategy:   jam.Periodic{PeriodChips: 9_000, JitterChips: 500},
+			BurstBytes: 60,
 		}},
 	}
 	ref := cfg
-	ref.SingleQueue = true
+	ref.singleQueue = true
 	want, err := Run(ref)
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +108,7 @@ func TestShardSingleDomainDegenerate(t *testing.T) {
 		Seed:         9,
 	}
 	ref := cfg
-	ref.SingleQueue = true
+	ref.singleQueue = true
 	want, err := Run(ref)
 	if err != nil {
 		t.Fatal(err)
@@ -191,19 +188,16 @@ func TestBusyAccumulatorParity(t *testing.T) {
 
 	tb := bed()
 	cfg := Config{
-		Testbed:      tb,
+		Topo:         tb,
 		Flows:        []Flow{bestFlow(tb, 0), bestFlow(tb, 1), bestFlow(tb, 4), bestFlow(tb, 12)},
 		PacketBytes:  250,
 		DurationSec:  0.1,
 		CarrierSense: true,
 		Seed:         3,
 		Jammers: []JammerNode{{
-			Sender: 9,
-			Node: scenario.Node{
-				Model:              scenario.Jammer{PeriodChips: 15_000, BurstBytes: 80, JitterChips: 2_000},
-				PacketBytes:        80,
-				IgnoreCarrierSense: true,
-			},
+			Sender:     9,
+			Strategy:   jam.Periodic{PeriodChips: 15_000, JitterChips: 2_000},
+			BurstBytes: 80,
 		}},
 	}
 	if _, err := Run(cfg); err != nil {
@@ -283,21 +277,20 @@ func TestTopoConfigValidation(t *testing.T) {
 	if _, err := Run(ok); err != nil {
 		t.Fatalf("baseline topo config rejected: %v", err)
 	}
-	jam := scenario.Node{Model: scenario.DefaultJammer()}
+	strat := jam.Periodic{}
 	bad := map[string]Config{
-		"both deployments": func() Config { c := ok; c.Testbed = bed(); return c }(),
-		"self flow":        func() Config { c := ok; c.Flows = []Flow{{Sender: 1, Receiver: 1}}; return c }(),
-		"receiver range":   func() Config { c := ok; c.Flows = []Flow{{Sender: 0, Receiver: 4}}; return c }(),
-		"sender range":     func() Config { c := ok; c.Flows = []Flow{{Sender: -1, Receiver: 1}}; return c }(),
-		"dup sender":       func() Config { c := ok; c.Flows = []Flow{{0, 1}, {0, 2}}; return c }(),
-		"jam on sender":    func() Config { c := ok; c.Jammers = []JammerNode{{Sender: 0, Node: jam}}; return c }(),
-		"jam on receiver":  func() Config { c := ok; c.Jammers = []JammerNode{{Sender: 1, Node: jam}}; return c }(),
+		"self flow":       func() Config { c := ok; c.Flows = []Flow{{Sender: 1, Receiver: 1}}; return c }(),
+		"receiver range":  func() Config { c := ok; c.Flows = []Flow{{Sender: 0, Receiver: 4}}; return c }(),
+		"sender range":    func() Config { c := ok; c.Flows = []Flow{{Sender: -1, Receiver: 1}}; return c }(),
+		"dup sender":      func() Config { c := ok; c.Flows = []Flow{{0, 1}, {0, 2}}; return c }(),
+		"jam on sender":   func() Config { c := ok; c.Jammers = []JammerNode{{Sender: 0, Strategy: strat}}; return c }(),
+		"jam on receiver": func() Config { c := ok; c.Jammers = []JammerNode{{Sender: 1, Strategy: strat}}; return c }(),
 		"jam twice": func() Config {
 			c := ok
-			c.Jammers = []JammerNode{{Sender: 2, Node: jam}, {Sender: 2, Node: jam}}
+			c.Jammers = []JammerNode{{Sender: 2, Strategy: strat}, {Sender: 2, Strategy: strat}}
 			return c
 		}(),
-		"jam out of range": func() Config { c := ok; c.Jammers = []JammerNode{{Sender: 99, Node: jam}}; return c }(),
+		"jam out of range": func() Config { c := ok; c.Jammers = []JammerNode{{Sender: 99, Strategy: strat}}; return c }(),
 		"too many nodes": func() Config {
 			c := ok
 			c.Topo = fakeTopo(0x10000)

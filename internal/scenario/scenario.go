@@ -1,8 +1,8 @@
 // Package scenario pluggably describes *what the network is doing* during a
 // simulated run, separated from how the engine synthesizes and decodes chips.
-// A Scenario assigns each sender a traffic model (and jammer-style behaviour
-// flags); the sim layer asks it for per-sender arrival streams and schedules
-// the result through the MAC.
+// A Scenario assigns each sender a traffic model or an internal/jam
+// adversary strategy; the sim layer asks it for per-sender arrival streams
+// and schedules the result through the MAC.
 //
 // The seed engine hard-coded the paper's workload — every node a Poisson
 // source at the configured offered load (Sec. 7.2). That remains the default
@@ -10,8 +10,9 @@
 // Richa et al.'s AntiJam) motivates workloads the paper never ran: bursty
 // on/off sources whose collisions cluster in time, and jammer nodes that
 // blast the channel periodically or in reaction to sensed activity. Those
-// ship here as Bursty and Jammer, and new models plug in by implementing
-// TrafficModel and (for named CLI selection) registering a Scenario.
+// ship here as Bursty and as jam-strategy overlays (WithJamStrategy), and
+// new models plug in by implementing TrafficModel and (for named CLI
+// selection) registering a Scenario.
 package scenario
 
 import (
@@ -29,10 +30,6 @@ type Params struct {
 	OfferedBps float64
 	// PacketBytes is the run's link-layer payload size.
 	PacketBytes int
-	// DurationChips is the simulated airtime; models may ignore it (the
-	// scheduler stops pulling arrivals past the end) but jammers use it to
-	// bound periodic timelines.
-	DurationChips int64
 }
 
 // Arrivals is a stream of packet release times in chips, non-decreasing.
@@ -51,26 +48,19 @@ type TrafficModel interface {
 	Arrivals(p Params, rng *stats.RNG) Arrivals
 }
 
-// Node is one sender's behaviour under a scenario: its traffic model plus
-// the MAC-level flags that distinguish well-behaved sources from jammers.
+// Node is one sender's behaviour under a scenario: a well-behaved traffic
+// model, or a jammer strategy.
 type Node struct {
 	// Model generates the sender's arrivals.
 	Model TrafficModel
 	// PacketBytes overrides the run's payload size when > 0 (jam bursts are
 	// sized by the jammer, not the workload).
 	PacketBytes int
-	// IgnoreCarrierSense marks nodes that transmit regardless of channel
-	// state. Jammers do not defer.
-	IgnoreCarrierSense bool
-	// Reactive marks a jammer that fires only when it senses energy above
-	// the carrier-sense threshold at the arrival instant: its arrival stream
-	// is a dense sensing clock, and the scheduler drops arrivals that find
-	// the channel idle.
-	Reactive bool
 	// Jam, when non-nil, makes this node an adversary driven by the
 	// composable strategy model (internal/jam) instead of a TrafficModel:
 	// the scheduler polls the strategy's emitter on the shared chip-time
-	// line and transmits the bursts it fires. Model is ignored.
+	// line and transmits the bursts it fires, ignoring carrier sense.
+	// Model is ignored.
 	Jam jam.Strategy
 }
 
@@ -173,71 +163,6 @@ func (a *burstyArrivals) Next() int64 {
 	return int64(a.t)
 }
 
-// ---- Jammer ----
-
-// Jammer is an adversarial node that transmits jam frames on a clock (or,
-// with Reactive, whenever it senses channel activity) with no regard for the
-// offered-load configuration or carrier sense.
-type Jammer struct {
-	// PeriodChips is the interval between jam attempts. For a reactive
-	// jammer this is the sensing clock, so it should be comparable to a
-	// frame's air time to hit ongoing transmissions.
-	PeriodChips int64
-	// BurstBytes is the jam frame payload size.
-	BurstBytes int
-	// JitterChips uniformly jitters each attempt to avoid pathological
-	// phase-locking with periodic victims.
-	JitterChips int64
-	// Reactive switches from the periodic clock to sense-then-jam.
-	Reactive bool
-}
-
-// DefaultJammer returns a periodic jammer: a 40-byte burst roughly every
-// 25 ms (50k chips), ~10% duty cycle against full-size frames.
-func DefaultJammer() Jammer {
-	return Jammer{PeriodChips: 50_000, BurstBytes: 40, JitterChips: 8_000}
-}
-
-// DefaultReactiveJammer returns a sense-then-jam jammer polling every ~6 ms,
-// under half a 1500-byte frame's air time, so ongoing packets are caught
-// mid-flight.
-func DefaultReactiveJammer() Jammer {
-	return Jammer{PeriodChips: 12_000, BurstBytes: 60, JitterChips: 2_000, Reactive: true}
-}
-
-// Name implements TrafficModel.
-func (j Jammer) Name() string {
-	if j.Reactive {
-		return "reactive-jammer"
-	}
-	return "periodic-jammer"
-}
-
-// Arrivals implements TrafficModel.
-func (j Jammer) Arrivals(p Params, rng *stats.RNG) Arrivals {
-	period := j.PeriodChips
-	if period <= 0 {
-		period = 50_000
-	}
-	return &jammerArrivals{rng: rng, period: period, jitter: j.JitterChips,
-		next: int64(rng.Float64() * float64(period))}
-}
-
-type jammerArrivals struct {
-	rng            *stats.RNG
-	period, jitter int64
-	next           int64
-}
-
-func (a *jammerArrivals) Next() int64 {
-	t := a.next
-	if a.jitter > 0 {
-		t += int64(a.rng.Float64() * float64(a.jitter))
-	}
-	a.next += a.period
-	return t
-}
-
 // ---- Scenario implementations ----
 
 // uniform applies one Node template to every sender.
@@ -261,35 +186,8 @@ func BurstyTraffic() Scenario {
 	return uniform{name: "bursty", node: Node{Model: DefaultBursty()}}
 }
 
-// withJammer overlays a jammer on sender 0 of a base scenario.
-type withJammer struct {
-	name   string
-	base   Scenario
-	jammer Jammer
-}
-
-func (w withJammer) Name() string { return w.name }
-
-func (w withJammer) Node(i, numSenders int) Node {
-	if i == 0 {
-		return Node{
-			Model:              w.jammer,
-			PacketBytes:        w.jammer.BurstBytes,
-			IgnoreCarrierSense: true,
-			Reactive:           w.jammer.Reactive,
-		}
-	}
-	return w.base.Node(i, numSenders)
-}
-
-// WithJammer overlays the given jammer on sender 0 of base; the remaining
-// senders keep base's behaviour.
-func WithJammer(base Scenario, j Jammer) Scenario {
-	return withJammer{name: j.Name(), base: base, jammer: j}
-}
-
 // withJamStrategy overlays a jam.Strategy adversary on sender 0 of a base
-// scenario — the strategy-model counterpart of withJammer.
+// scenario.
 type withJamStrategy struct {
 	name       string
 	base       Scenario
@@ -301,21 +199,18 @@ func (w withJamStrategy) Name() string { return w.name }
 
 func (w withJamStrategy) Node(i, numSenders int) Node {
 	if i == 0 {
-		return Node{
-			Jam:                w.strat,
-			PacketBytes:        w.burstBytes,
-			IgnoreCarrierSense: true,
-		}
+		return Node{Jam: w.strat, PacketBytes: w.burstBytes}
 	}
 	return w.base.Node(i, numSenders)
 }
 
 // WithJamStrategy overlays a jam.Strategy adversary on sender 0 of base,
-// jamming with burstBytes-sized frames (0 means 40 bytes); the remaining
-// senders keep base's behaviour. The scenario is listed under name.
+// jamming with burstBytes-sized frames (0 means JamBurstBytes); the
+// remaining senders keep base's behaviour. The scenario is listed under
+// name.
 func WithJamStrategy(name string, base Scenario, strat jam.Strategy, burstBytes int) Scenario {
 	if burstBytes <= 0 {
-		burstBytes = 40
+		burstBytes = JamBurstBytes
 	}
 	return withJamStrategy{name: name, base: base, strat: strat, burstBytes: burstBytes}
 }
@@ -330,19 +225,27 @@ func mustJam(name string) jam.Strategy {
 	return s
 }
 
+// Burst sizes of the stock jammers. JamBurstBytes is the default: the
+// periodic jammer's 40-byte burst every ~25 ms is a ~10% duty cycle against
+// full-size frames, and every other registered strategy but reactive uses
+// it too. The reactive jammer sends 60-byte bursts.
+const (
+	JamBurstBytes      = 40
+	ReactiveBurstBytes = 60
+)
+
 // PeriodicJammer returns Poisson traffic with sender 0 replaced by the
-// default periodic jammer, expressed through the jam strategy registry.
-// The timeline is bit-identical to the legacy WithJammer(Poisson(),
-// DefaultJammer()) construction — parity-tested in internal/sim.
+// registry's periodic jammer. Its schedules are pinned by frozen golden
+// digests in internal/sim.
 func PeriodicJammer() Scenario {
-	return WithJamStrategy("periodic-jammer", Poisson(), mustJam("periodic"), DefaultJammer().BurstBytes)
+	return WithJamStrategy("periodic-jammer", Poisson(), mustJam("periodic"), JamBurstBytes)
 }
 
 // ReactiveJammer returns Poisson traffic with sender 0 replaced by the
-// default reactive (sense-then-jam) jammer, expressed through the jam
-// strategy registry; bit-identical to the legacy construction.
+// registry's reactive (sense-then-jam) jammer; golden-pinned like
+// PeriodicJammer.
 func ReactiveJammer() Scenario {
-	return WithJamStrategy("reactive-jammer", Poisson(), mustJam("reactive"), DefaultReactiveJammer().BurstBytes)
+	return WithJamStrategy("reactive-jammer", Poisson(), mustJam("reactive"), ReactiveBurstBytes)
 }
 
 // registry maps CLI names to scenario constructors.
@@ -358,9 +261,9 @@ var registry = map[string]func() Scenario{
 func init() {
 	for _, name := range jam.Names() {
 		name := name
-		burst := 40
+		burst := JamBurstBytes
 		if name == "reactive" {
-			burst = DefaultReactiveJammer().BurstBytes
+			burst = ReactiveBurstBytes
 		}
 		registry["jam-"+name] = func() Scenario {
 			return WithJamStrategy("jam-"+name, Poisson(), mustJam(name), burst)

@@ -8,7 +8,7 @@ import (
 )
 
 func params() Params {
-	return Params{OfferedBps: 6900, PacketBytes: 200, DurationChips: 6_000_000}
+	return Params{OfferedBps: 6900, PacketBytes: 200}
 }
 
 // drain pulls arrivals until the duration ends, with a hard cap against
@@ -31,8 +31,7 @@ func drain(t *testing.T, a Arrivals, dur int64) []int64 {
 }
 
 func TestPoissonMatchesConfiguredLoad(t *testing.T) {
-	p := params()
-	arr := drain(t, PoissonModel{}.Arrivals(p, stats.NewRNG(1)), p.DurationChips)
+	arr := drain(t, PoissonModel{}.Arrivals(params(), stats.NewRNG(1)), 6_000_000)
 	// 6900 bps × 3 s / 1600 bits per packet ≈ 13 packets; wide slack.
 	if len(arr) < 4 || len(arr) > 35 {
 		t.Errorf("poisson produced %d arrivals, expected ~13", len(arr))
@@ -41,11 +40,11 @@ func TestPoissonMatchesConfiguredLoad(t *testing.T) {
 
 func TestBurstyPreservesMeanLoad(t *testing.T) {
 	p := params()
-	p.DurationChips = 60_000_000 // 30 s to average over many on/off cycles
+	const dur = 60_000_000 // 30 s to average over many on/off cycles
 	var poisson, bursty int
 	for seed := uint64(0); seed < 8; seed++ {
-		poisson += len(drain(t, PoissonModel{}.Arrivals(p, stats.NewRNG(seed)), p.DurationChips))
-		bursty += len(drain(t, DefaultBursty().Arrivals(p, stats.NewRNG(100+seed)), p.DurationChips))
+		poisson += len(drain(t, PoissonModel{}.Arrivals(p, stats.NewRNG(seed)), dur))
+		bursty += len(drain(t, DefaultBursty().Arrivals(p, stats.NewRNG(100+seed)), dur))
 	}
 	ratio := float64(bursty) / float64(poisson)
 	if ratio < 0.7 || ratio > 1.3 {
@@ -56,7 +55,7 @@ func TestBurstyPreservesMeanLoad(t *testing.T) {
 
 func TestBurstyClustersArrivals(t *testing.T) {
 	p := params()
-	p.DurationChips = 60_000_000
+	const dur = 60_000_000
 	gapsOf := func(arr []int64) (median float64, max int64) {
 		if len(arr) < 3 {
 			t.Fatal("too few arrivals")
@@ -71,8 +70,8 @@ func TestBurstyClustersArrivals(t *testing.T) {
 		}
 		return stats.Median(gaps), max
 	}
-	pm, _ := gapsOf(drain(t, PoissonModel{}.Arrivals(p, stats.NewRNG(5)), p.DurationChips))
-	bm, bmax := gapsOf(drain(t, DefaultBursty().Arrivals(p, stats.NewRNG(5)), p.DurationChips))
+	pm, _ := gapsOf(drain(t, PoissonModel{}.Arrivals(p, stats.NewRNG(5)), dur))
+	bm, bmax := gapsOf(drain(t, DefaultBursty().Arrivals(p, stats.NewRNG(5)), dur))
 	// Bursty: arrivals inside ON periods are ~4x denser (smaller median
 	// gap), with long OFF silences (larger max gap).
 	if bm >= pm {
@@ -83,12 +82,17 @@ func TestBurstyClustersArrivals(t *testing.T) {
 	}
 }
 
+// TestJammerPeriodicClock checks the periodic-jammer scenario's clock: one
+// jam attempt per ~50k chips.
 func TestJammerPeriodicClock(t *testing.T) {
-	j := DefaultJammer()
-	arr := drain(t, j.Arrivals(params(), stats.NewRNG(3)), 6_000_000)
-	want := int(6_000_000 / j.PeriodChips)
-	if len(arr) < want-2 || len(arr) > want+2 {
-		t.Errorf("%d jam attempts over 3 s, want ~%d", len(arr), want)
+	const dur = 6_000_000
+	em := PeriodicJammer().Node(0, 23).Jam.Emitter(jam.Params{DurationChips: dur, BurstBytes: JamBurstBytes}, stats.NewRNG(3))
+	n := 0
+	for em.NextPoll() < dur {
+		n++
+	}
+	if want := dur / 50_000; n < want-2 || n > want+2 {
+		t.Errorf("%d jam attempts over 3 s, want ~%d", n, want)
 	}
 }
 
@@ -119,7 +123,7 @@ func TestScenarioRegistry(t *testing.T) {
 func TestJammerScenarioShape(t *testing.T) {
 	sc := PeriodicJammer()
 	j := sc.Node(0, 23)
-	if !j.IgnoreCarrierSense || j.PacketBytes != DefaultJammer().BurstBytes {
+	if j.PacketBytes != JamBurstBytes {
 		t.Errorf("jammer node misconfigured: %+v", j)
 	}
 	if j.Jam == nil || j.Jam.Name() != "periodic" {
@@ -127,16 +131,16 @@ func TestJammerScenarioShape(t *testing.T) {
 	}
 	for i := 1; i < 23; i++ {
 		n := sc.Node(i, 23)
-		if n.IgnoreCarrierSense || n.PacketBytes != 0 || n.Jam != nil {
+		if n.PacketBytes != 0 || n.Jam != nil {
 			t.Errorf("sender %d inherited jammer flags: %+v", i, n)
 		}
 	}
 	r := ReactiveJammer().Node(0, 23)
-	if r.Jam == nil || r.Jam.Name() != "reactive" || !r.IgnoreCarrierSense {
+	if r.Jam == nil || r.Jam.Name() != "reactive" {
 		t.Errorf("reactive jammer node misconfigured: %+v", r)
 	}
-	if r.PacketBytes != DefaultReactiveJammer().BurstBytes {
-		t.Errorf("reactive jammer burst size %d, want %d", r.PacketBytes, DefaultReactiveJammer().BurstBytes)
+	if r.PacketBytes != ReactiveBurstBytes {
+		t.Errorf("reactive jammer burst size %d, want %d", r.PacketBytes, ReactiveBurstBytes)
 	}
 }
 
@@ -149,7 +153,7 @@ func TestJamScenariosRegistered(t *testing.T) {
 			t.Fatalf("jam-%s not registered: %v", name, err)
 		}
 		n := sc.Node(0, 23)
-		if n.Jam == nil || !n.IgnoreCarrierSense || n.PacketBytes <= 0 {
+		if n.Jam == nil || n.PacketBytes <= 0 {
 			t.Errorf("jam-%s sender 0 misconfigured: %+v", name, n)
 		}
 		if sc.Node(1, 23).Jam != nil {
@@ -164,8 +168,5 @@ func TestModelNames(t *testing.T) {
 	}
 	if DefaultBursty().Name() != "bursty" {
 		t.Error("bursty name")
-	}
-	if DefaultJammer().Name() != "periodic-jammer" || DefaultReactiveJammer().Name() != "reactive-jammer" {
-		t.Error("jammer names")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ppr/internal/jam"
 	"ppr/internal/phy"
 	"ppr/internal/scenario"
 	"ppr/internal/testbed"
@@ -160,9 +161,9 @@ func TestScheduleScenarioPeriodicJammer(t *testing.T) {
 	for _, tx := range txs {
 		if tx.Src == 0 {
 			jams++
-			if len(tx.Frame.Payload) != scenario.DefaultJammer().BurstBytes {
+			if len(tx.Frame.Payload) != scenario.JamBurstBytes {
 				t.Fatalf("jam burst payload %d bytes, want %d",
-					len(tx.Frame.Payload), scenario.DefaultJammer().BurstBytes)
+					len(tx.Frame.Payload), scenario.JamBurstBytes)
 			}
 		}
 	}
@@ -209,7 +210,7 @@ func TestScheduleScenarioReactiveJammer(t *testing.T) {
 			jams++
 		}
 	}
-	polls := int(3 * 2_000_000 / scenario.DefaultReactiveJammer().PeriodChips)
+	polls := int(3 * 2_000_000 / cfg.Scenario.Node(0, 23).Jam.(jam.Reactive).PeriodChips)
 	if jams == 0 {
 		t.Fatal("reactive jammer never fired on a busy channel")
 	}
@@ -241,10 +242,10 @@ func TestScheduleScenarioReactiveJammer(t *testing.T) {
 // the jammer heard its own transmission, one trigger would make it fire
 // forever.
 func TestReactiveJammerDoesNotSenseItself(t *testing.T) {
-	fast := scenario.Jammer{PeriodChips: 3000, BurstBytes: 100, Reactive: true}
+	fast := jam.Reactive{PeriodChips: 3000}
 	cfg := smallCfg(13800, false, 59)
 	cfg.OfferedBps = 0.0001 // near-silent victims
-	cfg.Scenario = scenario.WithJammer(scenario.Poisson(), fast)
+	cfg.Scenario = scenario.WithJamStrategy("fast-reactive", scenario.Poisson(), fast, 100)
 	txs := Schedule(cfg)
 	jams := 0
 	for _, tx := range txs {

@@ -131,9 +131,9 @@ func (tx *Transmission) PayloadStartChip() int64 {
 // time order with the static arrival streams, and each poll observes the
 // channel as the jammer would sense it — total received power and the
 // transmissions currently on the air — before deciding whether to burst.
-// With no strategy nodes the loop degenerates to the legacy iteration, and
-// the stock periodic/reactive strategies replay the legacy scenario.Jammer
-// timelines bit-for-bit (parity-tested).
+// Jammers ignore carrier sense; every other arrival goes through CSMA. The
+// stock periodic/reactive jammer schedules are pinned by frozen golden
+// digests (see jam_test.go).
 func Schedule(cfg Config) []*Transmission {
 	rng := stats.NewRNG(cfg.Seed)
 	trafficRng := rng.Split()
@@ -191,9 +191,8 @@ func Schedule(cfg Config) []*Transmission {
 			continue
 		}
 		src := nodes[i].Model.Arrivals(scenario.Params{
-			OfferedBps:    cfg.OfferedBps,
-			PacketBytes:   pktBytes[i],
-			DurationChips: endChip,
+			OfferedBps:  cfg.OfferedBps,
+			PacketBytes: pktBytes[i],
 		}, child)
 		for {
 			t := src.Next()
@@ -277,35 +276,16 @@ func Schedule(cfg Config) []*Transmission {
 		if !hasStatic && ji < 0 {
 			break
 		}
-		// On chip ties the strategy poll goes first: legacy collected the
-		// jammer's (sender 0) arrivals ahead of the victims' in the sort
-		// input, which is where equal-chip arrivals ended up.
+		// On chip ties the strategy poll goes first (the golden schedules
+		// pin this order).
 		if hasStatic && (ji < 0 || arrivals[ai].chip < jammers[ji].next) {
 			a := arrivals[ai]
 			ai++
-			node := nodes[a.src]
 			// Carrier sense for CSMA keeps the seed behaviour: all
 			// committed transmissions count (a deferring sender is not yet
 			// on the air).
 			busy := func(t int64) float64 { return busyAt(t, a.src, -1) }
-			var start int64
-			switch {
-			case node.Reactive:
-				// Sense-then-jam: fire only when the channel is audibly
-				// busy at the sensing instant; otherwise this arrival is
-				// just a poll. The jammer's own bursts are excluded from
-				// the sense, or a poll period shorter than the burst air
-				// time would make it self-sustaining on a silent channel.
-				if busyAt(a.chip, a.src, a.src) < csThresholdMW {
-					continue
-				}
-				start = a.chip
-			case node.IgnoreCarrierSense:
-				start = a.chip
-			default:
-				start = csma.Decide(a.chip, busy, csmaRng)
-			}
-			emit(a.src, start, pktBytes[a.src])
+			emit(a.src, csma.Decide(a.chip, busy, csmaRng), pktBytes[a.src])
 			continue
 		}
 

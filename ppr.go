@@ -320,7 +320,8 @@ type (
 	ClosedLoopConfig = netsim.Config
 	// ClosedLoopFlow is one sender→receiver flow.
 	ClosedLoopFlow = netsim.Flow
-	// ClosedLoopJammer overlays a scenario jammer as a channel event source.
+	// ClosedLoopJammer overlays a jam strategy (JamStrategyByName) on a
+	// node as a channel event source that ignores carrier sense.
 	ClosedLoopJammer = netsim.JammerNode
 	// ClosedLoopResult is a run's per-flow and channel-wide accounting.
 	ClosedLoopResult = netsim.Result
@@ -403,16 +404,14 @@ func AudibilityFloorDBm(p ChannelParams) float64 { return netsim.AudibilityFloor
 // ---- Traffic scenarios ----
 
 type (
-	// Scenario assigns each simulated sender a traffic model and jammer
-	// flags; plug one into SimConfig.Scenario or ExperimentOptions.Scenario.
+	// Scenario assigns each simulated sender a traffic model or a jam
+	// strategy; plug one into SimConfig.Scenario or ExperimentOptions.Scenario.
 	Scenario = scenario.Scenario
 	// TrafficModel generates one sender's packet arrival process; implement
 	// it to add a new workload.
 	TrafficModel = scenario.TrafficModel
 	// ScenarioNode is one sender's behaviour under a scenario.
 	ScenarioNode = scenario.Node
-	// JammerModel is the adversarial periodic / sense-then-jam node.
-	JammerModel = scenario.Jammer
 	// BurstyModel is the Markov-modulated on/off traffic source.
 	BurstyModel = scenario.Bursty
 	// TraceCache memoizes simulation traces by operating point.
@@ -434,19 +433,6 @@ func PeriodicJammerScenario() Scenario { return scenario.PeriodicJammer() }
 // ReactiveJammerScenario returns Poisson traffic with sender 0 replaced by
 // a sense-then-jam jammer.
 func ReactiveJammerScenario() Scenario { return scenario.ReactiveJammer() }
-
-// WithJammerScenario overlays jammer j on sender 0 of base.
-func WithJammerScenario(base Scenario, j JammerModel) Scenario {
-	return scenario.WithJammer(base, j)
-}
-
-// DefaultJammerModel returns the legacy periodic jammer's parameters; the
-// registry strategy "periodic" reproduces its timeline bit-identically.
-func DefaultJammerModel() JammerModel { return scenario.DefaultJammer() }
-
-// DefaultReactiveJammerModel returns the legacy sense-then-jam jammer's
-// parameters; the registry strategy "reactive" reproduces its timeline.
-func DefaultReactiveJammerModel() JammerModel { return scenario.DefaultReactiveJammer() }
 
 // ScenarioByName resolves a scenario by CLI name; ScenarioNames lists them.
 func ScenarioByName(name string) (Scenario, error) { return scenario.ByName(name) }
