@@ -597,7 +597,7 @@ func benchSyncStream() *frame.ChipBuffer {
 	return frame.NewChipBuffer(chips)
 }
 
-// BenchmarkFindSyncs measures the word-parallel sync scan against the
+// BenchmarkFindSyncs measures the strided sync scan against the
 // frozen seed implementation (internal/frame/syncref) on the same stream.
 // TestFindSyncsMatchesSyncref proves both produce identical detections, and
 // TestFindSyncsSpeedGate enforces a ≥3x ratio, so the new/ref pair here is

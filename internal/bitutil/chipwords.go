@@ -124,14 +124,6 @@ func (w *ChipWords) Word64(off int) uint64 {
 	return v
 }
 
-// Words exposes the packed backing words read-only: word i holds chips
-// [64i, 64i+64), chip 64i at bit 63. Bits at or past Len() are unspecified.
-// It exists for offset-sweeping hot loops (the sync scan) that hoist word
-// loads out of their inner loop instead of paying a Word64 call per offset;
-// everything else should use the bounds-checked accessors. Callers must not
-// modify the returned slice.
-func (w *ChipWords) Words() []uint64 { return w.words }
-
 // run64 extracts width (≤ 64) chips starting at off, left-aligned: the
 // first chip of the run at bit 63. Bits past the run are unspecified;
 // depositors mask them.

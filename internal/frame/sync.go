@@ -65,16 +65,34 @@ const DefaultSyncMaxDist = 20
 // patterns are 5 bytes = 320 chips = exactly five 64-chip blocks, and they
 // share their first four blocks (the zero-byte pad, codeword 0 repeated);
 // only the fifth block, the delimiter byte, differs between preamble and
-// postamble. So the scan accumulates the shared pad distance block by
-// block with the seed's early-bailout semantics (once the pad distance
-// alone exceeds the threshold, both patterns are rejected), and only on
-// surviving candidates pays for the two delimiter correlations. The first
-// pad block doubles as the cheap prefilter: against uncorrelated noise its
-// expected distance is 32 chips, so a noise offset is rejected after a
-// single XOR+popcount with probability ~0.998 at the default threshold.
+// postamble. A candidate offset is checked by accumulating the shared pad
+// distance block by block with the seed's early-bailout semantics (once the
+// pad distance alone exceeds the threshold, both patterns are rejected),
+// and only surviving candidates pay for the two delimiter correlations.
+//
+// Most offsets are never checked at all. The 256-chip pad has period 32,
+// so each of the seven 64-chip windows at o, o+32, …, o+192 of a candidate
+// o should equal padWord, and since distances are non-negative a candidate
+// whose total distance is within maxDist has every one of those windows
+// within maxDist too. Exactly one of the seven starts at a probe offset
+// p with p mod 224 ∈ [0, 32). The scan therefore tests padWord only at
+// probe offsets, 32 per 224-chip segment from two loaded words, and
+// derives candidates from the hits: segment p0 = 224m owns the candidates
+// [p0−192, p0+32), a hit at probe p0+r vouches for p0+r−32k, k = 0..6, and
+// the segments tile the offset range in order. Against uncorrelated noise
+// a probe hits with probability ~0.002 at the default threshold, so ~94%
+// of segments are dismissed after 32 XOR+popcounts — one per seven
+// offsets — and detections stay bit-identical to a full sweep.
 const (
 	syncBlocks = SyncChips / 64
 	padBlocks  = syncBlocks - 1
+	// probeChips is the pad's period (one codeword) and the number of
+	// probe offsets per segment.
+	probeChips = chipseq.ChipsPerSymbol
+	// padWindows counts the 64-chip windows at probeChips steps inside
+	// the pad (7); segChips (224) is the segment stride.
+	padWindows = (padBlocks*64-64)/probeChips + 1
+	segChips   = padWindows * probeChips
 )
 
 // delimWord packs a sync pattern's delimiter byte (two codewords) into the
@@ -110,66 +128,70 @@ func AppendSyncs(dst []Sync, buf *ChipBuffer, maxDist int) []Sync {
 	}
 	limit := buf.Len() - SyncChips
 	base := len(dst)
-	words := buf.Words()
-	// Offset sweep, structured as (word, shift) so the two backing words of
-	// the prefilter block load once per 64 offsets and the inner loop is
-	// pure register arithmetic: two shifts, an OR, an XOR, a popcount and a
-	// compare per offset. Go defines w1>>64 as 0, so the sh==0 case needs no
-	// branch.
-	for wi := 0; wi*64 <= limit; wi++ {
-		w0 := words[wi]
-		var w1 uint64
-		if wi+1 < len(words) {
-			w1 = words[wi+1]
+	// A candidate o ≤ limit is vouched for by a probe p ≤ limit+192, whose
+	// two probe words end by p0+128 ≤ Len(); later segments own nothing.
+	for p0 := 0; p0 <= limit+(padWindows-1)*probeChips; p0 += segChips {
+		w0, w1 := buf.Word64(p0), buf.Word64(p0+64)
+		var hits uint32
+		for r := 0; r < probeChips; r++ {
+			if bits.OnesCount64(w0^padWord) <= maxDist {
+				hits |= 1 << r
+			}
+			// Slide the probe window one chip: constant shifts only.
+			w0 = w0<<1 | w1>>63
+			w1 <<= 1
 		}
-		shEnd := limit - wi*64
-		if shEnd > 63 {
-			shEnd = 63
+		if hits == 0 {
+			continue
 		}
-		for sh := 0; sh <= shEnd; sh++ {
-			// Prefilter: first pad block. Against uncorrelated noise the
-			// expected distance is 32 chips, so a noise offset dies here
-			// with probability ~0.998 at the default threshold.
-			d := bits.OnesCount64((w0<<uint(sh) | w1>>(64-uint(sh))) ^ padWord)
-			if d > maxDist {
-				continue
-			}
-			off := wi*64 + sh
-			// Remaining shared pad blocks with the seed's early-bailout
-			// semantics: once the pad distance alone exceeds the threshold,
-			// both patterns are rejected.
-			d += bits.OnesCount64(buf.Word64(off+64) ^ padWord)
-			if d > maxDist {
-				continue
-			}
-			d += bits.OnesCount64(buf.Word64(off+128) ^ padWord)
-			if d > maxDist {
-				continue
-			}
-			d += bits.OnesCount64(buf.Word64(off+192) ^ padWord)
-			if d > maxDist {
-				continue
-			}
-			// Delimiter block: the only place the two patterns diverge.
-			last := buf.Word64(off + padBlocks*64)
-			dPre := d + bits.OnesCount64(last^preDelimWord)
-			dPost := d + bits.OnesCount64(last^postDelimWord)
-			kind, dist := SyncPreamble, dPre
-			if dPost < dPre {
-				kind, dist = SyncPostamble, dPost
-			}
-			if dist > maxDist {
-				continue
-			}
-			// Collapse candidates within one codeword of the previous
-			// detection.
-			if n := len(dst); n > base && off-dst[n-1].ChipOffset < chipseq.ChipsPerSymbol {
-				if dist < dst[n-1].Dist {
-					dst[n-1] = Sync{Kind: kind, ChipOffset: off, Dist: dist}
+		// Walk the owned candidates in ascending order: k = 6 covers
+		// [p0−192, p0−160), k = 0 covers [p0, p0+32).
+		for k := padWindows - 1; k >= 0; k-- {
+			for m := hits; m != 0; m &= m - 1 {
+				off := p0 - k*probeChips + bits.TrailingZeros32(m)
+				if off < 0 || off > limit {
+					continue
 				}
-				continue
+				d := bits.OnesCount64(buf.Word64(off) ^ padWord)
+				if d > maxDist {
+					continue
+				}
+				// Remaining shared pad blocks with the seed's early-bailout
+				// semantics: once the pad distance alone exceeds the
+				// threshold, both patterns are rejected.
+				d += bits.OnesCount64(buf.Word64(off+64) ^ padWord)
+				if d > maxDist {
+					continue
+				}
+				d += bits.OnesCount64(buf.Word64(off+128) ^ padWord)
+				if d > maxDist {
+					continue
+				}
+				d += bits.OnesCount64(buf.Word64(off+192) ^ padWord)
+				if d > maxDist {
+					continue
+				}
+				// Delimiter block: the only place the two patterns diverge.
+				last := buf.Word64(off + padBlocks*64)
+				dPre := d + bits.OnesCount64(last^preDelimWord)
+				dPost := d + bits.OnesCount64(last^postDelimWord)
+				kind, dist := SyncPreamble, dPre
+				if dPost < dPre {
+					kind, dist = SyncPostamble, dPost
+				}
+				if dist > maxDist {
+					continue
+				}
+				// Collapse candidates within one codeword of the previous
+				// detection.
+				if n := len(dst); n > base && off-dst[n-1].ChipOffset < chipseq.ChipsPerSymbol {
+					if dist < dst[n-1].Dist {
+						dst[n-1] = Sync{Kind: kind, ChipOffset: off, Dist: dist}
+					}
+					continue
+				}
+				dst = append(dst, Sync{Kind: kind, ChipOffset: off, Dist: dist})
 			}
-			dst = append(dst, Sync{Kind: kind, ChipOffset: off, Dist: dist})
 		}
 	}
 	return dst

@@ -262,7 +262,8 @@ func appendReception(dst []byte, exch uint32, rec *frame.Reception) []byte {
 
 // parseReception decodes a MsgRx body into an owned Reception (nil when
 // the radio head acquired nothing). Limits reject hostile sizes before any
-// allocation proportional to them, and non-finite hints are rejected.
+// allocation proportional to them; a reception whose decision and payload
+// counts disagree with its header, and non-finite hints, are rejected.
 func parseReception(b []byte) (exch uint32, rec *frame.Reception, err error) {
 	c := cursor{b: b}
 	exch = c.u32()
@@ -290,6 +291,15 @@ func parseReception(b []byte) (exch uint32, rec *frame.Reception, err error) {
 	if c.bad || nDec < 0 || nDec > maxDecisions || r.MissingPrefix < 0 {
 		return 0, nil, errMalformed
 	}
+	// Shape: a verified header bounds the symbols and fixes the payload
+	// length; without one the receiver delivers neither.
+	wantPay := 0
+	if r.HeaderOK {
+		wantPay = int(r.Hdr.Length)
+	}
+	if r.MissingPrefix+nDec > frame.SymbolsPerByte*wantPay {
+		return 0, nil, errMalformed
+	}
 	if !c.need(nDec * 9) {
 		return 0, nil, errMalformed
 	}
@@ -304,7 +314,7 @@ func parseReception(b []byte) (exch uint32, rec *frame.Reception, err error) {
 		r.Decisions[i].Hint = hint
 	}
 	nPay := int(c.u32())
-	if c.bad || nPay < 0 || nPay > frame.MaxPayload {
+	if c.bad || nPay != wantPay || nPay > frame.MaxPayload {
 		return 0, nil, errMalformed
 	}
 	r.PayloadBytes = append([]byte(nil), c.bytes(nPay)...)
