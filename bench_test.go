@@ -319,7 +319,9 @@ func BenchmarkTraceCache(b *testing.B) {
 // BenchmarkSchemePostProcess times one registered scheme's post-processing
 // pass over a shared high-load trace, masks precomputed — the marginal cost
 // of one figure curve, per scheme (the FEC family's trellis work shows up
-// here; its clean-block fast path keeps it proportional to damage).
+// here: one metric-only fec.Repairs pass per damaged block, see
+// BenchmarkBlockRepaired; the clean-block fast path keeps it proportional
+// to damage).
 func BenchmarkSchemePostProcess(b *testing.B) {
 	o := experiments.Options{Seed: 1, Quick: true}
 	tr := o.Trace(experiments.LoadHigh, false)
@@ -657,6 +659,52 @@ func BenchmarkFECDecode(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := sovaref.Decode(coded); err != nil {
 				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkBlockRepaired measures the FEC schemes' per-block question,
+// "does Viterbi repair this error pattern?", on heavy 25-byte blocks (3%
+// scattered errors plus a 12-bit burst — the flagged blocks the schemes
+// actually decode): "decode" runs the full soft-output fec.Decode and
+// tests its bits for zero, "repairs" the metric-only fec.Repairs that
+// schemes use. TestRepairsMatchesDecodeRandom proves the same answers.
+func BenchmarkBlockRepaired(b *testing.B) {
+	rng := stats.NewRNG(25)
+	n := fec.EncodedLen(schemes.DefaultFECDataBytes * 8)
+	blocks := make([][]byte, 64)
+	for i := range blocks {
+		blk := make([]byte, n)
+		for j := range blk {
+			if rng.Bool(0.03) {
+				blk[j] = 1
+			}
+		}
+		start := rng.Intn(n - 12)
+		for j := start; j < start+12; j++ {
+			blk[j] = byte(rng.Intn(2))
+		}
+		blocks[i] = blk
+	}
+	var repaired int
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res, err := fec.Decode(blocks[i%len(blocks)])
+			if err != nil {
+				b.Fatal(err)
+			}
+			if bytes.IndexByte(res.Bits, 1) < 0 {
+				repaired++
+			}
+		}
+	})
+	b.Run("repairs", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if fec.Repairs(blocks[i%len(blocks)]) {
+				repaired++
 			}
 		}
 	})

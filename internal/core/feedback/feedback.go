@@ -122,6 +122,44 @@ func (r Request) Encode(lambdaC int) []byte {
 // errTruncated is returned for any malformed or short feedback buffer.
 var errTruncated = errors.New("feedback: truncated or malformed message")
 
+// ErrChunkRange is returned for a message whose chunk list does not fit
+// its packet: more chunks than symbols, or a chunk running past the last
+// symbol.
+var ErrChunkRange = errors.New("feedback: chunk exceeds packet")
+
+// readChunkCount reads the gamma-coded chunk count (stored plus one). Each
+// chunk covers at least one symbol, so a count above numSymbols is
+// rejected before it is converted to int.
+func readChunkCount(rd *bitutil.Reader, numSymbols int) (int, error) {
+	n := rd.ReadGamma()
+	if rd.Err() != nil || n == 0 {
+		return 0, errTruncated
+	}
+	if n-1 > uint64(numSymbols) {
+		return 0, fmt.Errorf("%w: %d chunks in a packet of %d symbols", ErrChunkRange, n-1, numSymbols)
+	}
+	return int(n - 1), nil
+}
+
+// readChunk reads chunk i's gamma-coded offset (from prevEnd, stored plus
+// one) and length, and returns its [start, end) range. Both values are
+// bounded against the room left in the packet in unsigned arithmetic:
+// a 64-bit gamma value converted to int first could wrap negative and slip
+// a chunk before the packet start past the range check.
+func readChunk(rd *bitutil.Reader, i, prevEnd, numSymbols int) (start, end int, err error) {
+	delta, length := rd.ReadGamma(), rd.ReadGamma()
+	if rd.Err() != nil || delta == 0 || length == 0 {
+		return 0, 0, errTruncated
+	}
+	room := uint64(numSymbols - prevEnd)
+	if delta-1 > room || length > room-(delta-1) {
+		return 0, 0, fmt.Errorf("%w: chunk %d (offset %d, length %d after symbol %d) in a packet of %d symbols",
+			ErrChunkRange, i, delta-1, length, prevEnd, numSymbols)
+	}
+	start = prevEnd + int(delta-1)
+	return start, start + int(length), nil
+}
+
 // DecodeRequest parses a request and validates its structure.
 func DecodeRequest(data []byte, lambdaC int) (Request, error) {
 	rd := bitutil.NewReader(data)
@@ -135,22 +173,15 @@ func DecodeRequest(data []byte, lambdaC int) (Request, error) {
 	if r.CRCVerified {
 		return r, nil
 	}
-	n := rd.ReadGamma()
-	if rd.Err() != nil || n == 0 {
-		return Request{}, errTruncated
+	nChunks, err := readChunkCount(rd, r.NumSymbols)
+	if err != nil {
+		return Request{}, err
 	}
-	nChunks := int(n - 1)
 	prevEnd := 0
 	for i := 0; i < nChunks; i++ {
-		delta := rd.ReadGamma()
-		length := rd.ReadGamma()
-		if rd.Err() != nil || delta == 0 || length == 0 {
-			return Request{}, errTruncated
-		}
-		start := prevEnd + int(delta) - 1
-		end := start + int(length)
-		if end > r.NumSymbols {
-			return Request{}, fmt.Errorf("feedback: chunk %d [%d,%d) exceeds packet of %d symbols", i, start, end, r.NumSymbols)
+		start, end, err := readChunk(rd, i, prevEnd, r.NumSymbols)
+		if err != nil {
+			return Request{}, err
 		}
 		r.Chunks = append(r.Chunks, chunkdp.Chunk{StartSym: start, EndSym: end})
 		prevEnd = end
@@ -219,25 +250,18 @@ func DecodeResponse(data []byte, lambdaC int) (Response, error) {
 	var r Response
 	r.Seq = uint16(rd.ReadBits(16))
 	r.NumSymbols = int(rd.ReadBits(16))
-	n := rd.ReadGamma()
-	if rd.Err() != nil || n == 0 {
-		return Response{}, errTruncated
+	nChunks, err := readChunkCount(rd, r.NumSymbols)
+	if err != nil {
+		return Response{}, err
 	}
-	nChunks := int(n - 1)
 	prevEnd := 0
 	var asChunks []chunkdp.Chunk
 	for i := 0; i < nChunks; i++ {
-		delta := rd.ReadGamma()
-		length := rd.ReadGamma()
-		if rd.Err() != nil || delta == 0 || length == 0 {
-			return Response{}, errTruncated
+		start, end, err := readChunk(rd, i, prevEnd, r.NumSymbols)
+		if err != nil {
+			return Response{}, err
 		}
-		start := prevEnd + int(delta) - 1
-		end := start + int(length)
-		if end > r.NumSymbols {
-			return Response{}, fmt.Errorf("feedback: response chunk %d [%d,%d) exceeds packet of %d symbols", i, start, end, r.NumSymbols)
-		}
-		syms := make([]byte, length)
+		syms := make([]byte, end-start)
 		for j := range syms {
 			syms[j] = byte(rd.ReadBits(4))
 		}

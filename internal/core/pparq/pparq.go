@@ -126,6 +126,13 @@ func (s Stats) TotalAirBytes() int {
 // MaxAttempts without verifying the whole packet.
 var ErrGiveUp = errors.New("pparq: gave up before packet fully verified")
 
+// ErrBadRequest is returned when a feedback request that crossed the
+// reverse link does not describe a packet in flight: an unknown sequence
+// number, a symbol count other than the packet's, or a checksum list that
+// does not match its segments. The reverse link may be a remote radio
+// head, so the sender treats the request as untrusted input.
+var ErrBadRequest = errors.New("pparq: feedback request does not match a packet in flight")
+
 // Sender holds the transmit-side state: the symbols of packets in flight,
 // keyed by sequence number, so it can serve retransmission requests.
 type Sender struct {
@@ -210,7 +217,10 @@ func (s *Sender) Transfer(payload []byte) (delivered []byte, st Stats, err error
 			return nil, st, fmt.Errorf("pparq: sender could not parse delivered feedback: %w", err)
 		}
 		// Phase 3: sender builds and sends the partial retransmission.
-		resp, misses := s.buildResponse(reqAtSender)
+		resp, misses, err := s.buildResponse(reqAtSender)
+		if err != nil {
+			return nil, st, err
+		}
 		st.Misses += misses
 		respBody := append([]byte{TypeResponse}, resp.Encode(cfg.LambdaC)...)
 		respRec, err := s.sendControl(s.fwd, respBody, &st.RetxAirBytes, &st.RetxPayloadSizes)
@@ -272,16 +282,29 @@ func ClampRequest(req feedback.Request, lambdaC int) feedback.Request {
 // to retransmitted chunks (the receiver was fooled by a miss). The response
 // is capped at MaxControlBody: retransmission that does not fit is demoted
 // to checksummed segments, which fail verification at the receiver and are
-// re-requested next round.
-func (s *Sender) buildResponse(req feedback.Request) (feedback.Response, int) {
-	syms := s.sent[req.Seq]
+// re-requested next round. A request that does not match a packet in
+// flight yields ErrBadRequest.
+func (s *Sender) buildResponse(req feedback.Request) (feedback.Response, int, error) {
+	syms, ok := s.sent[req.Seq]
+	if !ok {
+		return feedback.Response{}, 0, fmt.Errorf("%w: unknown seq %d", ErrBadRequest, req.Seq)
+	}
+	if req.NumSymbols != len(syms) {
+		return feedback.Response{}, 0, fmt.Errorf("%w: seq %d names %d symbols, packet has %d",
+			ErrBadRequest, req.Seq, req.NumSymbols, len(syms))
+	}
+	segs := feedback.Segments(req.NumSymbols, req.Chunks)
+	if len(req.SegChecksums) != len(segs) {
+		return feedback.Response{}, 0, fmt.Errorf("%w: seq %d carries %d checksums for %d segments",
+			ErrBadRequest, req.Seq, len(req.SegChecksums), len(segs))
+	}
 	misses := 0
 	type span struct{ start, end int }
 	var retx []span
 	for _, c := range req.Chunks {
 		retx = append(retx, span{c.StartSym, c.EndSym})
 	}
-	for i, seg := range feedback.Segments(req.NumSymbols, req.Chunks) {
+	for i, seg := range segs {
 		w := feedback.ChecksumWidth(seg.Len, s.cfg.LambdaC)
 		if feedback.SymbolChecksum(syms[seg.Start:seg.End()], w) != req.SegChecksums[i] {
 			misses++
@@ -299,7 +322,7 @@ func (s *Sender) buildResponse(req feedback.Request) (feedback.Response, int) {
 	}
 	s.fillSegChecksums(&resp, syms)
 	s.capResponse(&resp, syms)
-	return resp, misses
+	return resp, misses, nil
 }
 
 // fillSegChecksums recomputes a response's segment checksums as the

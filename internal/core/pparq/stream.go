@@ -43,6 +43,11 @@ func decodeBatch(body []byte) (typ byte, msgs [][]byte, err error) {
 		if rd.Err() != nil || l == 0 {
 			return 0, nil, fmt.Errorf("pparq: malformed batch entry %d", i)
 		}
+		if l-1 > uint64(rd.Remaining()/8) {
+			// Checked before ReadBytes allocates: a hostile length
+			// must not size a buffer the body cannot fill.
+			return 0, nil, fmt.Errorf("pparq: truncated batch entry %d", i)
+		}
 		m := rd.ReadBytes(int(l - 1))
 		if rd.Err() != nil {
 			return 0, nil, fmt.Errorf("pparq: truncated batch entry %d", i)
@@ -144,7 +149,11 @@ func (s *Sender) TransferWindow(payloads [][]byte) ([][]byte, Stats, error) {
 				s.releaseWindow(entries)
 				return nil, st, fmt.Errorf("pparq: bad batched request: %w", err)
 			}
-			resp, misses := s.buildResponse(req)
+			resp, misses, err := s.buildResponse(req)
+			if err != nil {
+				s.releaseWindow(entries)
+				return nil, st, err
+			}
 			st.Misses += misses
 			respBodies = append(respBodies, resp.Encode(cfg.LambdaC))
 		}

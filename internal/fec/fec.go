@@ -295,6 +295,76 @@ func Decode(coded []byte) (Result, error) {
 	return res, nil
 }
 
+// Repairs reports whether hard-decision Viterbi decoding of coded yields
+// all-zero data: exactly err == nil && every bit of Decode(coded).Bits is 0,
+// computed from path metrics alone. Decoding an error pattern through the
+// linear code asks whether the decoder repaired it, and that is all the
+// FEC recovery schemes need.
+//
+// Why metrics suffice: traceback starts in state 0, and ties keep the p0
+// predecessor. A traceback that leaves state 0 at step t enters state 1,
+// whose low bit is data bit t−K+1 (every bit shifts one place per step), so
+// that data bit decodes to 1 — the zero tail cannot absorb it. The decoded
+// data is therefore all zeros iff state 0 keeps its p0 predecessor at every
+// step, and Repairs stops at the first step where it would not. It runs the
+// same ACS recursion as Decode with no survivors, margins, traceback or
+// reliability pass, and allocates nothing.
+func Repairs(coded []byte) bool {
+	if len(coded)%Rate != 0 {
+		return false
+	}
+	nBranches := len(coded) / Rate
+	if nBranches < K-1 {
+		return false
+	}
+	mRepairBlocks.Get().Inc()
+	steps := mRepairSteps.Get()
+	const inf = math.MaxInt32 / 2
+
+	var ma, mb [numStates]int32
+	metric, next := &ma, &mb
+	for s := 1; s < numStates; s++ {
+		metric[s] = inf
+	}
+	// Warm-up: before step K−1 no state with its oldest bit set is
+	// reachable, so every p1 predecessor is unreachable and each state
+	// extends its p0 path (or stays unreachable). State 0 cannot pick p1
+	// here.
+	for t := 0; t < K-1; t++ {
+		bm := &branchMetrics[(coded[t*Rate]<<1|coded[t*Rate+1])&0b11]
+		for ns := 0; ns < numStates; ns++ {
+			p0 := (ns << 1) & (numStates - 1)
+			if m := metric[p0]; m < inf {
+				next[ns] = m + bm[outputs[p0][ns>>(K-2)]]
+			} else {
+				next[ns] = inf
+			}
+		}
+		metric, next = next, metric
+	}
+
+	// Steady state: Decode's butterflies, keeping only the metrics.
+	for t := K - 1; t < nBranches; t++ {
+		bm := &butterflyBM[(coded[t*Rate]<<1|coded[t*Rate+1])&0b11]
+		// State 0 is butterfly 0's first successor: p0 = 0 via a, p1 = 1
+		// via 2−a. A strict p1 win sends the traceback out of state 0.
+		if a := bm[0]; metric[1]+2-a < metric[0]+a {
+			steps.Add(int64(t + 1))
+			return false
+		}
+		for j := 0; j < numStates/2; j++ {
+			m0, m1 := metric[2*j], metric[2*j+1]
+			a := bm[j]
+			c := 2 - a
+			next[j] = min(m0+a, m1+c)
+			next[j+numStates/2] = min(m0+c, m1+a)
+		}
+		metric, next = next, metric
+	}
+	steps.Add(int64(nBranches))
+	return true
+}
+
 // BitsFromBytes explodes bytes into bits, LSB first per byte (matching the
 // symbol ordering of the rest of the stack). The output is allocated at its
 // final length and written by index — one allocation, no append churn.

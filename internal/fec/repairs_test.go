@@ -1,0 +1,302 @@
+package fec_test
+
+import (
+	"testing"
+
+	"ppr/internal/fec"
+	"ppr/internal/obs"
+	"ppr/internal/stats"
+)
+
+// Parity suite for the metric-only trellis: fec.Repairs must answer
+// exactly what the FEC recovery schemes used to compute from a full
+// decode — no error and every decoded bit zero.
+
+// blockCoded is the coded length of one 25-byte FEC block (the schemes'
+// default block size), 412 bits.
+var blockCoded = fec.EncodedLen(25 * 8)
+
+// decodesToZero is the reference answer: Decode succeeds and returns
+// all-zero data.
+func decodesToZero(coded []byte) bool {
+	res, err := fec.Decode(coded)
+	if err != nil {
+		return false
+	}
+	for _, b := range res.Bits {
+		if b != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+func assertRepairsParity(t *testing.T, what string, coded []byte) bool {
+	t.Helper()
+	want := decodesToZero(coded)
+	if got := fec.Repairs(coded); got != want {
+		t.Fatalf("%s (%d coded bits, weight %d): Repairs %v, Decode all-zero %v",
+			what, len(coded), weight(coded), got, want)
+	}
+	return want
+}
+
+func weight(coded []byte) int {
+	n := 0
+	for _, b := range coded {
+		n += int(b)
+	}
+	return n
+}
+
+// withErrors returns an n-bit all-zero pattern with ones at positions.
+func withErrors(n int, positions ...int) []byte {
+	out := make([]byte, n)
+	for _, p := range positions {
+		out[p] = 1
+	}
+	return out
+}
+
+// impulse is the codeword of a single 1 entering the encoder at data bit
+// pos of a block: the free-distance (weight 10) path that diverges from
+// state 0 at step pos and re-merges K steps later.
+func impulse(nData, pos int) []byte {
+	data := make([]byte, nData)
+	data[pos] = 1
+	return fec.Encode(data)
+}
+
+func TestRepairsShapes(t *testing.T) {
+	// Malformed lengths are never repaired, as Decode errors on them.
+	for _, n := range []int{1, 3, 2*fec.K - 1, blockCoded - 1, blockCoded + 1} {
+		coded := make([]byte, n)
+		if fec.Repairs(coded) {
+			t.Errorf("odd length %d: Repairs true", n)
+		}
+		assertRepairsParity(t, "odd length", coded)
+	}
+	// 0, K−2, K−1 and K branches, all-zero and all-one: below K−1
+	// branches the zero tail does not fit and Decode errors.
+	for _, nb := range []int{0, fec.K - 2, fec.K - 1, fec.K} {
+		zero := make([]byte, nb*fec.Rate)
+		ones := make([]byte, nb*fec.Rate)
+		for i := range ones {
+			ones[i] = 1
+		}
+		if got := assertRepairsParity(t, "all-zero", zero); got != (nb >= fec.K-1) {
+			t.Errorf("%d branches all-zero: repaired %v", nb, got)
+		}
+		assertRepairsParity(t, "all-one", ones)
+	}
+	// A full block with no errors decodes to zeros.
+	if !assertRepairsParity(t, "all-zero block", make([]byte, blockCoded)) {
+		t.Error("all-zero block not repaired")
+	}
+}
+
+// TestRepairsLowWeightAlwaysRepaired: every non-zero codeword of the
+// 171/133 code has weight ≥ d_free = 10, so an error pattern of weight ≤ 4
+// stays strictly closer to the all-zero path than to any other, and
+// Viterbi repairs it.
+func TestRepairsLowWeightAlwaysRepaired(t *testing.T) {
+	for p := 0; p < blockCoded; p++ {
+		if !assertRepairsParity(t, "weight 1", withErrors(blockCoded, p)) {
+			t.Fatalf("single error at bit %d not repaired", p)
+		}
+	}
+	rng := stats.NewRNG(18)
+	for w := 2; w <= 4; w++ {
+		for i := 0; i < 300; i++ {
+			pos := make([]int, w)
+			for j := range pos {
+				pos[j] = rng.Intn(blockCoded)
+			}
+			if !assertRepairsParity(t, "low weight", withErrors(blockCoded, pos...)) {
+				t.Fatalf("weight-%d pattern at %v not repaired", w, pos)
+			}
+		}
+	}
+}
+
+// TestRepairsEdgeBursts puts single bursts (solid and random-content) at
+// the first and at the last branch: the warm-up steps, where only p0
+// predecessors are reachable, and the terminating tail.
+func TestRepairsEdgeBursts(t *testing.T) {
+	rng := stats.NewRNG(7)
+	for l := 1; l <= 40; l++ {
+		for _, solid := range []bool{true, false} {
+			head := make([]byte, blockCoded)
+			tail := make([]byte, blockCoded)
+			for i := 0; i < l; i++ {
+				b := byte(1)
+				if !solid {
+					b = byte(rng.Intn(2))
+				}
+				head[i] = b
+				tail[blockCoded-1-i] = b
+			}
+			assertRepairsParity(t, "head burst", head)
+			assertRepairsParity(t, "tail burst", tail)
+		}
+	}
+}
+
+// TestRepairsStateZeroTies builds patterns whose state-0 ACS comparison
+// ties: k of the 10 ones of an impulse codeword. With k = 5 the diverged
+// path and the all-zero path reach state 0 with equal metrics; the
+// reference rule keeps p0, so the block is repaired, and Decode's zero
+// reliability on the surviving all-zero path confirms the tie happened.
+// With k = 6 the diverged path wins and the block is lost.
+func TestRepairsStateZeroTies(t *testing.T) {
+	const nData = 25 * 8
+	rng := stats.NewRNG(42)
+	ties := 0
+	for _, pos := range []int{0, 1, fec.K, nData / 2, nData - 2, nData - 1} {
+		code := impulse(nData, pos)
+		var ones []int
+		for i, b := range code {
+			if b == 1 {
+				ones = append(ones, i)
+			}
+		}
+		if len(ones) != 10 {
+			t.Fatalf("impulse at %d has weight %d, want d_free 10", pos, len(ones))
+		}
+		for trial := 0; trial < 20; trial++ {
+			perm := rng.Perm(len(ones))
+			for _, k := range []int{5, 6} {
+				pat := make([]byte, len(code))
+				for _, i := range perm[:k] {
+					pat[ones[i]] = 1
+				}
+				got := assertRepairsParity(t, "impulse subset", pat)
+				if got != (k == 5) {
+					t.Fatalf("impulse %d, %d of 10 ones: repaired %v", pos, k, got)
+				}
+				if k == 5 {
+					res, _ := fec.Decode(pat)
+					for _, r := range res.Reliability {
+						if r == 0 {
+							ties++
+							break
+						}
+					}
+				}
+			}
+		}
+	}
+	if ties == 0 {
+		t.Error("no constructed pattern produced a zero-margin state-0 decision")
+	}
+}
+
+// TestRepairsMatchesDecodeRandom sweeps random, bursty and Bernoulli
+// block patterns across the repaired / not-repaired boundary.
+func TestRepairsMatchesDecodeRandom(t *testing.T) {
+	rng := stats.NewRNG(2007)
+	repaired, lost := 0, 0
+	count := func(ok bool) {
+		if ok {
+			repaired++
+		} else {
+			lost++
+		}
+	}
+	for i := 0; i < 1500; i++ {
+		pat := make([]byte, blockCoded)
+		for j := range pat {
+			if rng.Bool(0.005 + 0.06*float64(i%10)/10) {
+				pat[j] = 1
+			}
+		}
+		count(assertRepairsParity(t, "bernoulli", pat))
+	}
+	for i := 0; i < 1000; i++ {
+		pat := make([]byte, blockCoded)
+		for b := 0; b < 1+i%4; b++ {
+			start, l := rng.Intn(blockCoded), 1+rng.Intn(16)
+			for j := start; j < start+l && j < blockCoded; j++ {
+				pat[j] = byte(rng.Intn(2))
+			}
+		}
+		count(assertRepairsParity(t, "bursty", pat))
+	}
+	for i := 0; i < 200; i++ {
+		pat := make([]byte, blockCoded)
+		for j := range pat {
+			pat[j] = byte(rng.Intn(2))
+		}
+		count(assertRepairsParity(t, "random", pat))
+	}
+	if repaired < 100 || lost < 100 {
+		t.Errorf("sweep missed the boundary: %d repaired, %d lost", repaired, lost)
+	}
+}
+
+// TestRepairsCountersAndAllocs pins the metric contract: fec.repair_blocks
+// counts well-formed blocks, fec.repair_steps the trellis steps run (all of
+// them for a repaired block, fewer for one ruled out early), and Repairs
+// allocates nothing with metrics on or off.
+func TestRepairsCountersAndAllocs(t *testing.T) {
+	old := obs.Default()
+	defer obs.SetDefault(old)
+	obs.SetDefault(nil)
+	clean := make([]byte, blockCoded)
+	hopeless := make([]byte, blockCoded)
+	for i := 0; i < 40; i++ {
+		hopeless[i] = 1
+	}
+	if fec.Repairs(hopeless) {
+		t.Fatal("40-bit solid burst repaired")
+	}
+	for name, coded := range map[string][]byte{"clean": clean, "hopeless": hopeless} {
+		if a := testing.AllocsPerRun(20, func() { fec.Repairs(coded) }); a != 0 {
+			t.Errorf("%s block, metrics off: %.1f allocs per call", name, a)
+		}
+	}
+
+	r := obs.New()
+	obs.SetDefault(r)
+	fec.Repairs(clean)
+	fec.Repairs(hopeless)
+	fec.Repairs(clean[:fec.K]) // odd length: rejected, not counted
+	snap := r.Snapshot()
+	if got := snap.Counters["fec.repair_blocks"]; got != 2 {
+		t.Errorf("fec.repair_blocks = %d, want 2", got)
+	}
+	nb := int64(blockCoded / fec.Rate)
+	if got := snap.Counters["fec.repair_steps"]; got <= nb || got >= 2*nb {
+		t.Errorf("fec.repair_steps = %d, want %d for the clean block plus an early stop", got, nb)
+	}
+	if a := testing.AllocsPerRun(20, func() { fec.Repairs(hopeless) }); a != 0 {
+		t.Errorf("metrics on: %.1f allocs per call", a)
+	}
+}
+
+// FuzzRepairsParity fuzzes Repairs against the full decode over arbitrary
+// coded streams (each input byte's low bit is one coded bit).
+func FuzzRepairsParity(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1})
+	f.Add(make([]byte, 2*(fec.K-1)))
+	f.Add(withErrors(blockCoded, 0, 1, 411))
+	tie := impulse(25*8, 100)
+	for i, n := 0, 0; i < len(tie) && n < 5; i++ {
+		if tie[i] == 1 {
+			n++
+			tie[i] = 0 // drop five of the ten ones: a state-0 tie
+		}
+	}
+	f.Add(tie)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1<<14 {
+			data = data[:1<<14]
+		}
+		coded := make([]byte, len(data))
+		for i, b := range data {
+			coded[i] = b & 1
+		}
+		assertRepairsParity(t, "fuzz", coded)
+	})
+}

@@ -264,20 +264,26 @@ func appendReception(dst []byte, exch uint32, rec *frame.Reception) []byte {
 // the radio head acquired nothing). Limits reject hostile sizes before any
 // allocation proportional to them; a reception whose decision and payload
 // counts disagree with its header, and non-finite hints, are rejected.
+// Only appendReception's encoding is accepted — presence 0 or 1, no
+// unknown flag bits, no trailing bytes — so an accepted body re-encodes to
+// itself.
 func parseReception(b []byte) (exch uint32, rec *frame.Reception, err error) {
 	c := cursor{b: b}
 	exch = c.u32()
 	present := c.u8()
-	if !c.ok() {
+	if !c.ok() || present > 1 {
 		return 0, nil, errMalformed
 	}
 	if present == 0 {
-		if !c.ok() {
+		if c.off != len(b) {
 			return 0, nil, errMalformed
 		}
 		return exch, nil, nil
 	}
 	flags := c.u8()
+	if flags&^3 != 0 {
+		return 0, nil, errMalformed
+	}
 	r := &frame.Reception{
 		HeaderOK: flags&1 != 0,
 		CRCOK:    flags&2 != 0,
@@ -335,12 +341,15 @@ type doneMsg struct {
 	Delivered []byte
 }
 
+// maxDoneErr bounds a MsgDone error string; longer ones are cut.
+const maxDoneErr = 1024
+
 func appendDone(dst []byte, m doneMsg) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, m.Xid)
 	dst = append(dst, m.Status)
 	errStr := m.Err
-	if len(errStr) > 1024 {
-		errStr = errStr[:1024]
+	if len(errStr) > maxDoneErr {
+		errStr = errStr[:maxDoneErr]
 	}
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(errStr)))
 	dst = append(dst, errStr...)
@@ -364,7 +373,11 @@ func appendDone(dst []byte, m doneMsg) []byte {
 func parseDone(b []byte) (doneMsg, error) {
 	c := cursor{b: b}
 	m := doneMsg{Xid: c.u32(), Status: c.u8()}
-	m.Err = string(c.bytes(int(c.u16())))
+	nErr := int(c.u16())
+	if nErr > maxDoneErr {
+		return doneMsg{}, errMalformed
+	}
+	m.Err = string(c.bytes(nErr))
 	m.Stats.DataAirBytes = int(c.u64())
 	m.Stats.RetxAirBytes = int(c.u64())
 	m.Stats.FeedbackAirBytes = int(c.u64())
@@ -399,9 +412,12 @@ func parseDone(b []byte) (doneMsg, error) {
 
 // ---- small bodies ----
 
+// maxOpenErr bounds a MsgOpenErr message; longer ones are cut.
+const maxOpenErr = 256
+
 func appendOpenErr(dst []byte, code byte, msg string) []byte {
-	if len(msg) > 256 {
-		msg = msg[:256]
+	if len(msg) > maxOpenErr {
+		msg = msg[:maxOpenErr]
 	}
 	dst = append(dst, code)
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(msg)))
@@ -411,8 +427,9 @@ func appendOpenErr(dst []byte, code byte, msg string) []byte {
 func parseOpenErr(b []byte) (code byte, msg string, err error) {
 	c := cursor{b: b}
 	code = c.u8()
-	msg = string(c.bytes(int(c.u16())))
-	if !c.ok() {
+	n := int(c.u16())
+	msg = string(c.bytes(n))
+	if !c.ok() || n > maxOpenErr || c.off != len(b) {
 		return 0, "", errMalformed
 	}
 	return code, msg, nil

@@ -49,13 +49,16 @@ func TestParseReceptionHints(t *testing.T) {
 	}
 }
 
-// TestParseReceptionShape pins shape validation at the wire boundary: the
-// decision and payload counts must agree with the header the reception
-// claims, and a reception without a verified header carries neither.
-func TestParseReceptionShape(t *testing.T) {
+// receptionShapes are receptions at and just past the shape limits
+// parseReception enforces; wantErr marks the ones it must reject.
+var receptionShapes = func() []struct {
+	name    string
+	rec     frame.Reception
+	wantErr bool
+} {
 	dec := func(n int) []phy.Decision { return make([]phy.Decision, n) }
 	hdr := frame.Header{Length: 3, Dst: 1, Src: 2, Seq: 3}
-	cases := []struct {
+	return []struct {
 		name    string
 		rec     frame.Reception
 		wantErr bool
@@ -71,13 +74,38 @@ func TestParseReceptionShape(t *testing.T) {
 		{"no header, decisions", frame.Reception{Decisions: dec(2)}, true},
 		{"no header, payload", frame.Reception{PayloadBytes: make([]byte, 1)}, true},
 	}
-	for _, tc := range cases {
+}()
+
+// TestParseReceptionShape pins shape validation at the wire boundary: the
+// decision and payload counts must agree with the header the reception
+// claims, and a reception without a verified header carries neither.
+func TestParseReceptionShape(t *testing.T) {
+	for _, tc := range receptionShapes {
 		t.Run(tc.name, func(t *testing.T) {
 			_, _, err := parseReception(appendReception(nil, 1, &tc.rec))
 			if tc.wantErr != errors.Is(err, errMalformed) || !tc.wantErr && err != nil {
 				t.Fatalf("err = %v, want malformed %v", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestParseReceptionCanonical: only appendReception's own encoding is
+// accepted, so bytes it never writes — a presence byte other than 0 or 1,
+// unknown flag bits, trailing bytes after an absent reception — are
+// malformed.
+func TestParseReceptionCanonical(t *testing.T) {
+	whole := appendReception(nil, 1, &receptionShapes[0].rec)
+	for name, body := range map[string][]byte{
+		"presence 2":         append(append([]byte(nil), whole[:4]...), append([]byte{2}, whole[5:]...)...),
+		"unknown flag bit":   append(append([]byte(nil), whole[:5]...), append([]byte{whole[5] | 4}, whole[6:]...)...),
+		"absent, trailing":   append(appendReception(nil, 1, nil), 0),
+		"present, trailing":  append(append([]byte(nil), whole...), 0),
+		"present, truncated": whole[:len(whole)-1],
+	} {
+		if _, _, err := parseReception(body); !errors.Is(err, errMalformed) {
+			t.Errorf("%s: err = %v, want errMalformed", name, err)
+		}
 	}
 }
 

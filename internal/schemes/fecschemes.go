@@ -74,20 +74,17 @@ func allZero(bits []byte) bool {
 	return true
 }
 
-// blockRepaired decodes one coded block's error pattern and reports whether
-// the code fully repaired it. An error-free block short-circuits: hard-
-// decision Viterbi of the uncorrupted codeword is the identity, so the
-// trellis only runs where the channel actually did damage — post-processing
-// cost scales with corruption, not payload size.
+// blockRepaired reports whether the code fully repaired one coded block's
+// error pattern. An error-free block short-circuits: hard-decision Viterbi
+// of the uncorrupted codeword is the identity, so the trellis only runs
+// where the channel actually did damage — post-processing cost scales with
+// corruption, not payload size. A damaged block goes through fec.Repairs,
+// which answers "does Viterbi decode this pattern to all zeros?" from path
+// metrics alone: the same boolean as testing fec.Decode's bits for zero,
+// without survivors, traceback or SOVA reliabilities, and stopping at the
+// first step that rules repair out.
 func blockRepaired(errBits []byte) bool {
-	if allZero(errBits) {
-		return true
-	}
-	res, err := fec.Decode(errBits)
-	if err != nil {
-		return false
-	}
-	return allZero(res.Bits)
+	return allZero(errBits) || fec.Repairs(errBits)
 }
 
 // ---- Block FEC (Sec. 8.3's coding alternative) ----
