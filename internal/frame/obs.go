@@ -6,6 +6,12 @@ import (
 	"ppr/internal/obs"
 )
 
+// mSyncsFound counts sync detections across every scan, whoever runs it:
+// Receiver.Receive scans per call, the simulator once per window for all
+// its receiver variants. AppendSyncs is a free function with no
+// construction moment, so the site goes through an obs Var.
+var mSyncsFound = &obs.CounterVar{Name: "frame.syncs_found"}
+
 // rxShardSeq spreads Receivers across registry cells: the simulators keep
 // one Receiver per worker (or per netsim shard), so successive receivers
 // land on distinct cells and the hot receive path never contends.
@@ -16,10 +22,6 @@ var rxShardSeq atomic.Int64
 // call, zero allocations) when metrics are disabled — the contract
 // TestMetricsDisabledAllocs pins.
 type rxMetrics struct {
-	// syncs counts sync detections of Receiver-owned scans (Receive);
-	// callers that scan once and decode per variant (internal/sim) count
-	// their shared scan themselves.
-	syncs *obs.CounterCell
 	// receptions counts header-verified receptions after deduplication.
 	receptions *obs.CounterCell
 	// crcFail counts header-verified receptions whose whole-packet CRC
@@ -35,7 +37,6 @@ func newRxMetrics() rxMetrics {
 	}
 	shard := int(rxShardSeq.Add(1))
 	return rxMetrics{
-		syncs:      r.Counter("frame.syncs_found").Cell(shard),
 		receptions: r.Counter("frame.receptions").Cell(shard),
 		crcFail:    r.Counter("frame.crc_failures").Cell(shard),
 	}

@@ -211,7 +211,6 @@ func (r *Receiver) decodeBytes(buf *ChipBuffer, chipOff, nBytes int) (b []byte, 
 // ReceiveSynced call on this Receiver.
 func (r *Receiver) Receive(buf *ChipBuffer) []Reception {
 	r.scratch.syncs = AppendSyncs(r.scratch.syncs[:0], buf, r.SyncMaxDist)
-	r.m.syncs.Add(int64(len(r.scratch.syncs)))
 	return r.ReceiveSynced(buf, r.scratch.syncs)
 }
 

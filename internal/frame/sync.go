@@ -194,5 +194,6 @@ func AppendSyncs(dst []Sync, buf *ChipBuffer, maxDist int) []Sync {
 			}
 		}
 	}
+	mSyncsFound.Get().Add(int64(len(dst) - base))
 	return dst
 }

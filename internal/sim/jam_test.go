@@ -143,3 +143,38 @@ func TestJamStrategyActuallyJams(t *testing.T) {
 		}
 	}
 }
+
+// TestWithJamStrategyMatchesRegistry checks that overlaying a strategy on
+// Poisson traffic by hand (scenario.WithJamStrategy with the default burst)
+// gives the same schedule and delivery trace as the prebuilt "jam-<name>"
+// scenario, and that an unregistered jam-<name> is an error.
+func TestWithJamStrategyMatchesRegistry(t *testing.T) {
+	strat, err := jam.ByName("periodic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	manual := scenario.WithJamStrategy("jam-periodic", scenario.Poisson(), strat, 0)
+	reg, err := scenario.ByName("jam-periodic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(sc scenario.Scenario) ([]*Transmission, []Outcome) {
+		cfg := smallCfg(6900, true, 1)
+		cfg.Testbed = testbed.New(radio.DefaultParams(), 1)
+		cfg.PacketBytes = 100
+		cfg.DurationSec = 0.3
+		cfg.Scenario = sc
+		return Run(cfg, []Variant{{Name: "postamble", UsePostamble: true}})
+	}
+	wantTxs, wantOuts := run(reg)
+	gotTxs, gotOuts := run(manual)
+	if len(wantTxs) == 0 {
+		t.Fatal("empty schedule")
+	}
+	if !reflect.DeepEqual(wantTxs, gotTxs) || !reflect.DeepEqual(wantOuts, gotOuts) {
+		t.Error("WithJamStrategy(periodic) differs from the registered jam-periodic scenario")
+	}
+	if _, err := scenario.ByName("jam-nonesuch"); err == nil {
+		t.Error("unknown jam strategy scenario did not error")
+	}
+}

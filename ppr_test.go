@@ -124,22 +124,6 @@ func TestPublicTestbedAndSim(t *testing.T) {
 	}
 }
 
-func TestPublicExperimentEntryPoints(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment smoke tests are not short")
-	}
-	o := ExperimentOptions{Seed: 2, Quick: true}
-	if rows := Table2(o); len(rows) != 5 {
-		t.Error("Table2 shape")
-	}
-	if res := Fig13(o); len(res.Packet1) == 0 {
-		t.Error("Fig13 shape")
-	}
-	if res := Fig16(o); res.Transfers == 0 {
-		t.Error("Fig16 shape")
-	}
-}
-
 func TestPublicExperimentRegistry(t *testing.T) {
 	names := ExperimentNames()
 	if len(names) != 17 {
