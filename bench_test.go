@@ -570,6 +570,11 @@ func BenchmarkChunkDP(b *testing.B) {
 	}
 }
 
+// BenchmarkSyncScan scans one 1500 B frame whose payload is all zeros. That
+// payload reproduces the sync pad at every codeword boundary, so every
+// aligned offset passes the strided probes and pays the full check chain:
+// it is the scan's worst case, not a representative stream.
+// BenchmarkFindSyncs is the representative row.
 func BenchmarkSyncScan(b *testing.B) {
 	f := frame.New(1, 2, 3, make([]byte, 1500))
 	buf := f.AirChips()
@@ -600,7 +605,8 @@ func benchSyncStream() *frame.ChipBuffer {
 }
 
 // BenchmarkFindSyncs measures the strided sync scan against the
-// frozen seed implementation (internal/frame/syncref) on the same stream.
+// frozen seed implementation (internal/frame/syncref) on the same stream:
+// mostly noise with four embedded frames, the representative scan row.
 // TestFindSyncsMatchesSyncref proves both produce identical detections, and
 // TestFindSyncsSpeedGate enforces a ≥3x ratio, so the new/ref pair here is
 // pure, semantics-preserving speedup.
@@ -727,6 +733,9 @@ func BenchmarkReceiveSteadyState(b *testing.B) {
 	}
 }
 
+// BenchmarkDespread1500B despreads a 1500 B all-zero payload. Every word is
+// a clean codeword, the best case for chipseq.NearestHard's guess shortcut;
+// chipseq's BenchmarkNearestHard has the sparse-error and random rows.
 func BenchmarkDespread1500B(b *testing.B) {
 	chips := bitutil.PackWord32s(phy.SpreadBytes(make([]byte, 1500)))
 	b.SetBytes(1500)

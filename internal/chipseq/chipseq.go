@@ -37,6 +37,16 @@ var codebook [NumSymbols]uint32
 // the soft-decision correlation metric.
 var signedChips [NumSymbols][ChipsPerSymbol]float64
 
+// guess[b] is the symbol whose top 8 chips are nearest the byte b (ties to
+// the lowest symbol): NearestHard's first candidate for a word whose top
+// byte is b.
+var guess [256]byte
+
+// uniqueRadius is the code book's unique-decoding radius
+// ⌊(MinPairDistance−1)/2⌋: a word within it of some codeword is strictly
+// nearer that codeword than any other.
+var uniqueRadius int
+
 func init() {
 	var base uint32
 	for i := 0; i < ChipsPerSymbol; i++ {
@@ -62,6 +72,15 @@ func init() {
 			}
 		}
 	}
+	for b := range guess {
+		best := ChipsPerSymbol + 1
+		for s := 0; s < NumSymbols; s++ {
+			if d := bits.OnesCount8(uint8(b) ^ uint8(codebook[s]>>24)); d < best {
+				best, guess[b] = d, byte(s)
+			}
+		}
+	}
+	uniqueRadius = (MinPairDistance() - 1) / 2
 }
 
 // rotateRightChips rotates the 32-chip sequence right by n chip positions in
@@ -99,13 +118,32 @@ func Signed(s byte) *[ChipsPerSymbol]float64 {
 // exactly the SoftPHY hint of Sec. 3.2. Ties resolve to the lowest symbol,
 // which is deterministic and unbiased with respect to correctness labelling.
 //
-// This is the despreader's innermost loop — one call per received symbol —
-// so it is fully unrolled over the 16 codewords and branch-free: each
-// candidate packs (distance, symbol) into one word and a compare-move
-// tournament keeps the minimum, which the compiler lowers to CMOVs rather
-// than data-dependent branches. Packing the symbol in the low bits makes
-// the tie-break to the lowest symbol fall out of the numeric minimum.
+// This is the despreader's innermost loop — one call per received symbol.
+// Almost every correctly received codeword arrives within a chip or two of
+// its own (Fig. 3), so it first tries one guess: the symbol whose top 8
+// chips are nearest the word's top byte. The code book's minimum pair
+// distance is 12, so a word within the unique-decoding radius R = 5 of the
+// guess lies at distance ≥ 12 − 5 = 7 > R from every other codeword: the
+// guess is then the unique nearest codeword and is returned as is — same
+// symbol, same hint, no tie to break. The shortcut is exact whatever the
+// guess; a poor guess only costs the search below.
+//
+// Otherwise the search is fully unrolled over the 16 codewords and
+// branch-free: each candidate packs (distance, symbol) into one word and a
+// compare-move tournament keeps the minimum, which the compiler lowers to
+// CMOVs rather than data-dependent branches. Packing the symbol in the low
+// bits makes the tie-break to the lowest symbol fall out of the numeric
+// minimum.
 func NearestHard(received uint32) (sym byte, dist int) {
+	g := guess[received>>24] & (NumSymbols - 1) // the mask elides a bounds check
+	if d := bits.OnesCount32(received ^ codebook[g]); d <= uniqueRadius {
+		return g, d
+	}
+	return nearestSearch(received)
+}
+
+// nearestSearch is NearestHard's 16-way tournament.
+func nearestSearch(received uint32) (sym byte, dist int) {
 	m := minU32(packDS(received, 0), packDS(received, 1))
 	m = minU32(m, packDS(received, 2))
 	m = minU32(m, packDS(received, 3))

@@ -1,6 +1,7 @@
 package chipseq
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -64,12 +65,14 @@ func TestConjugateStructure(t *testing.T) {
 
 func TestMinPairDistance(t *testing.T) {
 	// The 802.15.4 code book's minimum pairwise distance is what separates
-	// "correct" (distance ~0-2) from "incorrect" (distance near min/2+) hints.
-	min := MinPairDistance()
-	if min < 10 || min > 20 {
-		t.Errorf("MinPairDistance = %d, outside plausible [10,20] for this code book", min)
+	// "correct" (distance ~0-2) from "incorrect" (distance near min/2+) hints,
+	// and it fixes the radius within which NearestHard trusts its guess.
+	if min := MinPairDistance(); min != 12 {
+		t.Errorf("MinPairDistance = %d, want 12 (IEEE 802.15.4-2006 Table 24)", min)
 	}
-	t.Logf("code book minimum pairwise Hamming distance: %d", min)
+	if uniqueRadius != 5 {
+		t.Errorf("uniqueRadius = %d, want (12-1)/2 = 5", uniqueRadius)
+	}
 }
 
 func TestNearestHardExact(t *testing.T) {
@@ -105,6 +108,91 @@ func TestNearestHardFewChipErrors(t *testing.T) {
 			t.Fatalf("trial %d: distance %d, want %d", trial, d, nerr)
 		}
 	}
+}
+
+// nearestRef is the plain 16-way nearest-codeword search NearestHard must
+// reproduce: strict < keeps the lowest symbol on ties.
+func nearestRef(received uint32) (sym byte, dist int) {
+	dist = ChipsPerSymbol + 1
+	for s := byte(0); s < NumSymbols; s++ {
+		if d := bits.OnesCount32(received ^ Codeword(s)); d < dist {
+			sym, dist = s, d
+		}
+	}
+	return sym, dist
+}
+
+// parityCheck compares NearestHard with nearestRef word by word, reports
+// the first few mismatches in full and counts the rest. It stays off t on
+// the hot path so the exhaustive sweep stays cheap.
+type parityCheck struct {
+	t          testing.TB
+	words, bad int
+}
+
+func (p *parityCheck) check(w uint32) {
+	p.words++
+	gs, gd := NearestHard(w)
+	ws, wd := nearestRef(w)
+	if gs == ws && gd == wd {
+		return
+	}
+	if p.bad++; p.bad <= 5 {
+		p.t.Errorf("NearestHard(%08x) = (%d, %d), reference (%d, %d)", w, gs, gd, ws, wd)
+	}
+}
+
+// TestNearestHardMatchesTournament checks NearestHard against the reference
+// on every word within distance 6 of every codeword — one chip past the
+// radius its shortcut trusts, where ties first appear — and on uniform
+// random words, the collision case.
+func TestNearestHardMatchesTournament(t *testing.T) {
+	const maxFlips = 6
+	balls := parityCheck{t: t}
+	for s := byte(0); s < NumSymbols; s++ {
+		cw := Codeword(s)
+		for k := 0; k <= maxFlips; k++ {
+			// Gosper's hack walks every 32-bit mask with k bits set.
+			m := uint32(1)<<k - 1
+			for {
+				balls.check(cw ^ m)
+				if k == 0 || m>>(ChipsPerSymbol-k) == 1<<k-1 {
+					break
+				}
+				c := m & -m
+				r := m + c
+				m = ((r^m)>>2)/c | r
+			}
+		}
+	}
+	// Σ_{k≤6} C(32,k) = 1,149,017 words around each codeword.
+	if want := NumSymbols * 1149017; balls.words != want {
+		t.Fatalf("swept %d words, want %d", balls.words, want)
+	}
+	if balls.bad > 0 {
+		t.Errorf("%d of %d words within distance %d of a codeword mismatch", balls.bad, balls.words, maxFlips)
+	}
+	random := parityCheck{t: t}
+	rng := rand.New(rand.NewSource(20))
+	for i := 0; i < 1<<20; i++ {
+		random.check(rng.Uint32())
+	}
+	if random.bad > 0 {
+		t.Errorf("%d of %d random words mismatch", random.bad, random.words)
+	}
+}
+
+func FuzzNearestHardParity(f *testing.F) {
+	for s := byte(0); s < NumSymbols; s++ {
+		f.Add(Codeword(s))
+		f.Add(Codeword(s) ^ 0x3F) // six flips: past the shortcut's radius
+	}
+	f.Add(uint32(0))
+	f.Add(^uint32(0))
+	f.Fuzz(func(t *testing.T, w uint32) {
+		p := parityCheck{t: t}
+		p.check(w)
+	})
 }
 
 func TestNearestHardDistanceNeverExceedsErrors(t *testing.T) {
@@ -261,5 +349,49 @@ func TestStringRoundTrip(t *testing.T) {
 		if cw != Codeword(s) {
 			t.Errorf("round trip failed for symbol %d", s)
 		}
+	}
+}
+
+var benchSink int
+
+// BenchmarkNearestHard times one despread per op over 4096 seeded words of
+// each kind: clean codewords (distance 0, the shortcut's best case), sparse
+// ones (1–3 chip errors, typical of a correctly received symbol, Fig. 3) and
+// uniform random words (a collision, where the guess mostly misses). The ref
+// row runs the 16-way tournament alone on the random words: the cost of
+// every call without the shortcut.
+func BenchmarkNearestHard(b *testing.B) {
+	const n = 4096
+	rng := rand.New(rand.NewSource(1))
+	clean, sparse, random := make([]uint32, n), make([]uint32, n), make([]uint32, n)
+	for i := range clean {
+		clean[i] = Codeword(byte(rng.Intn(NumSymbols)))
+		sparse[i] = clean[i]
+		for k := 1 + rng.Intn(3); k > 0; {
+			if bit := uint32(1) << rng.Intn(ChipsPerSymbol); sparse[i]&bit == clean[i]&bit {
+				sparse[i] ^= bit
+				k--
+			}
+		}
+		random[i] = rng.Uint32()
+	}
+	for _, c := range []struct {
+		name  string
+		words []uint32
+		f     func(uint32) (byte, int)
+	}{
+		{"clean", clean, NearestHard},
+		{"sparse", sparse, NearestHard},
+		{"random", random, NearestHard},
+		{"ref", random, nearestSearch},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			sink := 0
+			for i := 0; i < b.N; i++ {
+				s, d := c.f(c.words[i&(n-1)])
+				sink += int(s) + d
+			}
+			benchSink = sink
+		})
 	}
 }

@@ -249,7 +249,7 @@ func Schedule(cfg Config) []*Transmission {
 			Src:       src,
 			StartChip: start,
 			Frame:     f,
-			TruthSyms: phy.SymbolsOf(phy.DecodeStream(phy.HardDecoder{}, bitutil.PackWord32s(phy.SpreadBytes(payload)))),
+			TruthSyms: bitutil.NibblesFromBytes(payload),
 		})
 	}
 
