@@ -737,7 +737,7 @@ func BenchmarkReceiveSteadyState(b *testing.B) {
 // a clean codeword, the best case for chipseq.NearestHard's guess shortcut;
 // chipseq's BenchmarkNearestHard has the sparse-error and random rows.
 func BenchmarkDespread1500B(b *testing.B) {
-	chips := bitutil.PackWord32s(phy.SpreadBytes(make([]byte, 1500)))
+	chips := phy.SpreadPacked(make([]byte, 1500))
 	b.SetBytes(1500)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -828,14 +828,15 @@ func BenchmarkSynthesize(b *testing.B) {
 
 // BenchmarkChipPack measures the packed-stream primitives the pipeline is
 // built on: byte→word packing (the modem-boundary adapter), word→byte
-// unpacking, codeword packing (the transmit path), unaligned word copy
+// unpacking, byte spreading into packed words (the transmit path,
+// phy.SpreadPacked, as Frame.AirChips runs it), unaligned word copy
 // (dominant-segment synthesis) and the sliding Word32 extraction (sync
 // scan and despreading).
 func BenchmarkChipPack(b *testing.B) {
 	tx := benchTxChips()
 	n := tx.Len()
 	chipBytes := tx.Bytes()
-	cws := phy.SpreadBytes(make([]byte, 1500))
+	payload := make([]byte, 1500)
 	b.Run("pack-bytes", func(b *testing.B) {
 		b.SetBytes(int64(n))
 		for i := 0; i < b.N; i++ {
@@ -855,7 +856,7 @@ func BenchmarkChipPack(b *testing.B) {
 	b.Run("pack-codewords", func(b *testing.B) {
 		b.SetBytes(int64(n))
 		for i := 0; i < b.N; i++ {
-			if w := bitutil.PackWord32s(cws); w.Len() != len(cws)*32 {
+			if w := phy.SpreadPacked(payload); w.Len() != len(payload)*64 {
 				b.Fatal("bad codeword pack")
 			}
 		}

@@ -43,19 +43,11 @@ func PackChipBytes(chips []byte) *ChipWords {
 	return w
 }
 
-// PackWord32s packs a codeword sequence, 32 chips per entry, two entries
-// per word — the transmitter-side fast path from spread symbols to the
-// on-air stream.
-func PackWord32s(cws []uint32) *ChipWords {
-	w := NewChipWords(len(cws) * 32)
-	for i, cw := range cws {
-		if i%2 == 0 {
-			w.words[i/2] = uint64(cw) << 32
-		} else {
-			w.words[i/2] |= uint64(cw)
-		}
-	}
-	return w
+// ChipWordsOf adopts words as a stream of 64·len(words) chips, chip 0 at
+// bit 63 of words[0] — for producers that build whole words themselves,
+// like the transmitter's byte-at-a-time spreader. The stream aliases words.
+func ChipWordsOf(words []uint64) *ChipWords {
+	return &ChipWords{words: words, n: 64 * len(words)}
 }
 
 // Len returns the stream length in chips.

@@ -54,18 +54,18 @@ func TestChipWordsWord32MatchesReference(t *testing.T) {
 	}
 }
 
-func TestPackWord32sMatchesBytePath(t *testing.T) {
-	cws := []uint32{0xdeadbeef, 0x12345678, 0xffffffff, 0, 0x80000001}
-	for count := 0; count <= len(cws); count++ {
+func TestChipWordsOfMatchesBytePath(t *testing.T) {
+	words := []uint64{0xdeadbeef12345678, 0xffffffff00000000, 0, 0x8000000180000001}
+	for count := 0; count <= len(words); count++ {
 		var chips []byte
-		for _, cw := range cws[:count] {
-			for i := 0; i < 32; i++ {
-				chips = append(chips, byte(cw>>uint(31-i)&1))
+		for _, w := range words[:count] {
+			for i := 0; i < 64; i++ {
+				chips = append(chips, byte(w>>uint(63-i)&1))
 			}
 		}
-		a, b := PackWord32s(cws[:count]), PackChipBytes(chips)
+		a, b := ChipWordsOf(words[:count]), PackChipBytes(chips)
 		if a.Len() != b.Len() || !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Fatalf("count=%d: codeword packing diverges from byte packing", count)
+			t.Fatalf("count=%d: adopted words diverge from byte packing", count)
 		}
 	}
 }

@@ -37,10 +37,19 @@ var codebook [NumSymbols]uint32
 // the soft-decision correlation metric.
 var signedChips [NumSymbols][ChipsPerSymbol]float64
 
-// guess[b] is the symbol whose top 8 chips are nearest the byte b (ties to
-// the lowest symbol): NearestHard's first candidate for a word whose top
-// byte is b.
-var guess [256]byte
+// guessShift and guessBits select the chips NearestHard's guess reads:
+// chips 1–10 of the word. Their 16 projections are pairwise at least 3
+// apart (chips 0–7, the top byte, have two projections 1 apart), so one chip
+// error in the window still leaves the sent symbol's projection nearest.
+const (
+	guessShift = ChipsPerSymbol - 1 - guessBits
+	guessBits  = 10
+)
+
+// guess[w] is the symbol whose chips 1–10 are nearest the window w (ties to
+// the lowest symbol): NearestHard's first candidate for a word whose window
+// reads w.
+var guess [1 << guessBits]byte
 
 // uniqueRadius is the code book's unique-decoding radius
 // ⌊(MinPairDistance−1)/2⌋: a word within it of some codeword is strictly
@@ -72,16 +81,19 @@ func init() {
 			}
 		}
 	}
-	for b := range guess {
+	for w := range guess {
 		best := ChipsPerSymbol + 1
 		for s := 0; s < NumSymbols; s++ {
-			if d := bits.OnesCount8(uint8(b) ^ uint8(codebook[s]>>24)); d < best {
-				best, guess[b] = d, byte(s)
+			if d := bits.OnesCount32(uint32(w) ^ guessWindow(codebook[s])); d < best {
+				best, guess[w] = d, byte(s)
 			}
 		}
 	}
 	uniqueRadius = (MinPairDistance() - 1) / 2
 }
+
+// guessWindow extracts chips 1–10 of a word, the index of guess.
+func guessWindow(w uint32) uint32 { return w >> guessShift & (1<<guessBits - 1) }
 
 // rotateRightChips rotates the 32-chip sequence right by n chip positions in
 // chip order (chip i moves to chip (i+n) mod 32).
@@ -120,13 +132,15 @@ func Signed(s byte) *[ChipsPerSymbol]float64 {
 //
 // This is the despreader's innermost loop — one call per received symbol.
 // Almost every correctly received codeword arrives within a chip or two of
-// its own (Fig. 3), so it first tries one guess: the symbol whose top 8
-// chips are nearest the word's top byte. The code book's minimum pair
-// distance is 12, so a word within the unique-decoding radius R = 5 of the
-// guess lies at distance ≥ 12 − 5 = 7 > R from every other codeword: the
-// guess is then the unique nearest codeword and is returned as is — same
-// symbol, same hint, no tie to break. The shortcut is exact whatever the
-// guess; a poor guess only costs the search below.
+// its own (Fig. 3), so it first tries one guess: the symbol whose chips
+// 1–10 are nearest the word's. Those windows are pairwise at least 3 chips
+// apart, so the guess is right for every word with at most one chip error.
+// The code book's minimum pair distance is 12, so a word within the
+// unique-decoding radius R = 5 of the guess lies at distance ≥ 12 − 5 = 7 > R
+// from every other codeword: the guess is then the unique nearest codeword
+// and is returned as is — same symbol, same hint, no tie to break. The
+// shortcut is exact whatever the guess; a poor guess only costs the search
+// below.
 //
 // Otherwise the search is fully unrolled over the 16 codewords and
 // branch-free: each candidate packs (distance, symbol) into one word and a
@@ -135,7 +149,7 @@ func Signed(s byte) *[ChipsPerSymbol]float64 {
 // bits makes the tie-break to the lowest symbol fall out of the numeric
 // minimum.
 func NearestHard(received uint32) (sym byte, dist int) {
-	g := guess[received>>24] & (NumSymbols - 1) // the mask elides a bounds check
+	g := guess[guessWindow(received)] & (NumSymbols - 1) // the mask elides a bounds check
 	if d := bits.OnesCount32(received ^ codebook[g]); d <= uniqueRadius {
 		return g, d
 	}

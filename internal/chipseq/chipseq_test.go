@@ -75,6 +75,38 @@ func TestMinPairDistance(t *testing.T) {
 	}
 }
 
+// TestGuessWindow pins what makes NearestHard's guess robust: the 16
+// codewords' chips 1–10 are pairwise at least 3 apart, so for each
+// codeword and each of its 32 one-chip corruptions the guess is the sent
+// symbol and lies within the unique-decoding radius — no full search.
+func TestGuessWindow(t *testing.T) {
+	minDist := guessBits + 1
+	for a := 0; a < NumSymbols; a++ {
+		for b := a + 1; b < NumSymbols; b++ {
+			minDist = min(minDist, bits.OnesCount32(guessWindow(codebook[a])^guessWindow(codebook[b])))
+		}
+	}
+	if minDist != 3 {
+		t.Errorf("guess windows are pairwise %d apart, want 3", minDist)
+	}
+	words := 0
+	for s := byte(0); s < NumSymbols; s++ {
+		for flip := -1; flip < ChipsPerSymbol; flip++ {
+			w := Codeword(s)
+			if flip >= 0 {
+				w ^= 1 << uint(31-flip)
+			}
+			words++
+			if g := guess[guessWindow(w)]; g != s || bits.OnesCount32(w^codebook[g]) > uniqueRadius {
+				t.Errorf("symbol %d, chip %d flipped: guess %d", s, flip, g)
+			}
+		}
+	}
+	if words != NumSymbols*33 {
+		t.Fatalf("checked %d words, want %d", words, NumSymbols*33)
+	}
+}
+
 func TestNearestHardExact(t *testing.T) {
 	for s := byte(0); s < NumSymbols; s++ {
 		got, d := NearestHard(Codeword(s))

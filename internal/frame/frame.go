@@ -158,14 +158,12 @@ func New(dst, src, seq uint16, payload []byte) Frame {
 	}
 }
 
-// preamblePattern and postamblePattern are the on-air sync byte sequences.
-func preamblePattern() []byte {
-	return append(make([]byte, SyncPadBytes), SFD)
-}
-
-func postamblePattern() []byte {
-	return append(make([]byte, SyncPadBytes), PSFD)
-}
+// preamble and postamble are the on-air sync byte sequences: the zero pad,
+// then the delimiter.
+var (
+	preamble  = [SyncBytes]byte{SyncPadBytes: SFD}
+	postamble = [SyncBytes]byte{SyncPadBytes: PSFD}
+)
 
 // AirBytes returns the complete over-the-air byte sequence of Fig. 2:
 // preamble, header, payload, packet CRC-32, trailer (header replica), and
@@ -173,25 +171,23 @@ func postamblePattern() []byte {
 func (f Frame) AirBytes() []byte {
 	hdr := f.Hdr.Encode()
 	out := make([]byte, 0, AirBytes(len(f.Payload)))
-	out = append(out, preamblePattern()...)
+	out = append(out, preamble[:]...)
 	out = append(out, hdr...)
 	out = append(out, f.Payload...)
 	// The packet CRC covers the header fields and payload — "a CRC covering
 	// the entire link-layer packet's contents" (Sec. 2).
-	covered := make([]byte, 0, HeaderFieldBytes+len(f.Payload))
-	covered = append(covered, hdr[:HeaderFieldBytes]...)
-	covered = append(covered, f.Payload...)
-	out = crcutil.Append32(out, covered)
+	crc := crcutil.Update32(crcutil.Update32(0, hdr[:HeaderFieldBytes]), f.Payload)
+	out = append(out, byte(crc>>24), byte(crc>>16), byte(crc>>8), byte(crc))
 	out = append(out, hdr...) // trailer replicates the header
-	out = append(out, postamblePattern()...)
+	out = append(out, postamble[:]...)
 	return out
 }
 
-// AirChips returns the frame's packed on-air chip stream, two codewords per
-// word — the representation the channel synthesizer and receiver operate on
-// natively.
+// AirChips returns the frame's packed on-air chip stream, one air byte's
+// two codewords per word — the representation the channel synthesizer and
+// receiver operate on natively.
 func (f Frame) AirChips() *bitutil.ChipWords {
-	return bitutil.PackWord32s(phy.SpreadBytes(f.AirBytes()))
+	return phy.SpreadPacked(f.AirBytes())
 }
 
 // PacketCRC32OK recomputes the whole-packet CRC over decoded header fields
@@ -200,6 +196,3 @@ func (f Frame) AirChips() *bitutil.ChipWords {
 func PacketCRC32OK(hdrFields, payload, crc []byte) bool {
 	return packetCRC32OK(hdrFields, payload, crc)
 }
-
-// symbolsOfBytes is a convenience wrapper used by the synchronizers.
-func symbolsOfBytes(b []byte) []byte { return bitutil.NibblesFromBytes(b) }

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ppr/internal/bitutil"
+	"ppr/internal/crcutil"
 	"ppr/internal/phy"
 	"ppr/internal/stats"
 )
@@ -104,6 +106,36 @@ func TestAirChipsLength(t *testing.T) {
 	f := New(1, 2, 3, make([]byte, 50))
 	if got := f.AirChips().Len(); got != AirChips(50) {
 		t.Errorf("chips %d, want %d", got, AirChips(50))
+	}
+}
+
+// TestAirChipsMatchesBytePath checks the transmit path against its
+// construction from first principles on random frames of 0…MaxPayload
+// bytes: the air bytes laid out with the CRC-32 of the concatenated header
+// fields and payload, spread codeword by codeword, packed chip by chip.
+func TestAirChipsMatchesBytePath(t *testing.T) {
+	rng := stats.NewRNG(2108)
+	for _, n := range []int{0, 1, 2, 99, 600, MaxPayload - 1, MaxPayload} {
+		payload := make([]byte, n)
+		for i := range payload {
+			payload[i] = byte(rng.Intn(256))
+		}
+		f := New(uint16(rng.Intn(1<<16)), 2, uint16(n), payload)
+		hdr := f.Hdr.Encode()
+		var want []byte
+		want = append(want, 0, 0, 0, 0, SFD)
+		want = append(want, hdr...)
+		want = append(want, payload...)
+		want = crcutil.Append32(want, append(append([]byte(nil), hdr[:HeaderFieldBytes]...), payload...))
+		want = append(want, hdr...)
+		want = append(want, 0, 0, 0, 0, PSFD)
+		if got := f.AirBytes(); !bytes.Equal(got, want) {
+			t.Fatalf("%d B: air bytes differ from the reference layout", n)
+		}
+		wantChips := bitutil.PackChipBytes(phy.ChipsOf(phy.SpreadBytes(want)))
+		if got := f.AirChips(); got.Len() != wantChips.Len() || !bytes.Equal(got.Bytes(), wantChips.Bytes()) {
+			t.Fatalf("%d B: air chips differ from the codeword path", n)
+		}
 	}
 }
 

@@ -18,6 +18,10 @@ import (
 // reception before transmitting again — the PP-ARQ state machines, the
 // closed-loop link layers — use them in place. This is what makes the
 // steady-state receive path allocation-free.
+//
+// A postamble reception that cannot win dedupe — an earlier reception of
+// the same payload already holds at least as many decisions — is never
+// decoded and never returned (see superseded).
 type Reception struct {
 	// Kind records whether acquisition happened on the preamble or — after
 	// the preamble was lost to a collision — on the postamble.
@@ -161,30 +165,34 @@ func NewReceiver(dec phy.Decoder) *Receiver {
 	}
 }
 
+// regionSpan locates an n-symbol region at chipOff in a bufLen-chip
+// buffer: skipped symbols start before chip 0, then decoded symbols are
+// whole codewords up to the first one that runs past the end. It is the
+// arithmetic decodeRegion despreads by, so the postamble path can learn
+// how many decisions a rollback would yield without despreading it.
+func regionSpan(bufLen, chipOff, n int) (skipped, decoded int) {
+	if chipOff < 0 {
+		skipped = min((31-chipOff)/32, n) // ⌈−chipOff/32⌉
+	}
+	if room := bufLen - 32 - chipOff; room >= 0 {
+		decoded = max(min(room/32+1, n)-skipped, 0)
+	}
+	return skipped, decoded
+}
+
 // decodeRegion despreads nSymbols starting at chipOff, clipping to the
 // buffer. It returns the decisions, the number of symbols skipped before the
 // region start (clip at front), and whether the region was fully inside.
-// The decisions are pre-sized to nSymbols from the arena and clipped to the
-// decoded count — no append churn on the hot path.
+// The decisions are an arena span sized by regionSpan — no append churn on
+// the hot path.
 func (r *Receiver) decodeRegion(buf *ChipBuffer, chipOff, nSymbols int) (ds []phy.Decision, skipped int, complete bool) {
-	ds = r.scratch.decisionSpan(nSymbols)
-	complete = true
-	n := 0
-	for i := 0; i < nSymbols; i++ {
-		off := chipOff + i*32
-		if off < 0 {
-			skipped++
-			complete = false
-			continue
-		}
-		if off+32 > buf.Len() {
-			complete = false
-			break
-		}
-		ds[n] = r.Dec.Decode(phy.Observation{Hard: buf.Word32(off)})
-		n++
+	skipped, n := regionSpan(buf.Len(), chipOff, nSymbols)
+	ds = r.scratch.decisionSpan(n)
+	off := chipOff + skipped*32
+	for i := range ds {
+		ds[i] = r.Dec.Decode(phy.Observation{Hard: buf.Word32(off + i*32)})
 	}
-	return ds[:n], skipped, complete
+	return ds, skipped, skipped == 0 && n == nSymbols
 }
 
 // decodeBytes despreads exactly nBytes at chipOff and packs them into a
@@ -272,13 +280,15 @@ func (r *Receiver) receiveFromPreamble(buf *ChipBuffer, s Sync) (Reception, bool
 	}
 	rec.HeaderOK = true
 	rec.Hdr = hdr
-	r.fillPayload(buf, &rec, hdrBytes[:HeaderFieldBytes])
+	r.fillPayload(buf, &rec, hdrBytes[:HeaderFieldBytes], 0)
 	return rec, true
 }
 
 // receiveFromPostamble implements the rollback path of Sec. 4: parse the
 // trailer that ends at the postamble, learn the packet bounds from it, then
-// roll back through the sample buffer to the start of the payload.
+// roll back through the sample buffer to the start of the payload. A
+// rollback that an earlier reception supersedes is not despread, and no
+// reception is reported for it.
 func (r *Receiver) receiveFromPostamble(buf *ChipBuffer, s Sync) (Reception, bool) {
 	trailerStart := s.ChipOffset - HeaderBytes*ChipsPerByte
 	rec := Reception{Kind: SyncPostamble, SyncDist: s.Dist}
@@ -306,29 +316,42 @@ func (r *Receiver) receiveFromPostamble(buf *ChipBuffer, s Sync) (Reception, boo
 	if horizon < 0 {
 		horizon = 0
 	}
-	r.fillPayloadFrom(buf, &rec, trailerBytes[:HeaderFieldBytes], horizon)
+	nSym := int(hdr.Length) * SymbolsPerByte
+	clipped := 0
+	if start := rec.PayloadStartChip; start < horizon {
+		clipped = min((horizon-start+31)/32, nSym)
+	}
+	// The decisions the rollback would yield, known before despreading.
+	_, nDec := regionSpan(buf.Len(), rec.PayloadStartChip+clipped*32, nSym-clipped)
+	if r.superseded(rec.PayloadStartChip, nDec) {
+		return rec, false
+	}
+	r.fillPayload(buf, &rec, trailerBytes[:HeaderFieldBytes], clipped)
 	return rec, true
 }
 
-// fillPayload decodes payload, verifies the packet CRC-32, with no rollback
-// horizon (preamble path).
-func (r *Receiver) fillPayload(buf *ChipBuffer, rec *Reception, hdrFields []byte) {
-	r.fillPayloadFrom(buf, rec, hdrFields, 0)
-}
-
-func (r *Receiver) fillPayloadFrom(buf *ChipBuffer, rec *Reception, hdrFields []byte, horizon int) {
-	nSym := int(rec.Hdr.Length) * SymbolsPerByte
-	start := rec.PayloadStartChip
-	// Clip the front at the rollback horizon.
-	clippedSyms := 0
-	if start < horizon {
-		clippedSyms = (horizon - start + 31) / 32
-		if clippedSyms > nSym {
-			clippedSyms = nSym
+// superseded reports whether a header-verified reception of the packet at
+// payload chip start, holding at least nDec decisions, is already in this
+// call's list. dedupe would then discard a postamble reception of nDec
+// decisions — to replace a kept reception it needs strictly more, and a tie
+// goes to the preamble — so its rollback is never despread.
+func (r *Receiver) superseded(start, nDec int) bool {
+	for i := range r.scratch.recs {
+		if e := &r.scratch.recs[i]; e.HeaderOK && e.PayloadStartChip == start && len(e.Decisions) >= nDec {
+			return true
 		}
 	}
-	ds, skipped, _ := r.decodeRegion(buf, start+clippedSyms*32, nSym-clippedSyms)
-	rec.MissingPrefix = clippedSyms + skipped
+	return false
+}
+
+// fillPayload decodes the payload after its first clipped symbols (those
+// before the rollback horizon; 0 on the preamble path), reassembles the
+// payload bytes and verifies the packet CRC-32.
+func (r *Receiver) fillPayload(buf *ChipBuffer, rec *Reception, hdrFields []byte, clipped int) {
+	nSym := int(rec.Hdr.Length) * SymbolsPerByte
+	start := rec.PayloadStartChip
+	ds, skipped, _ := r.decodeRegion(buf, start+clipped*32, nSym-clipped)
+	rec.MissingPrefix = clipped + skipped
 	rec.Decisions = ds
 	// Reassemble payload bytes: zero-fill the missing prefix, then decoded
 	// symbols; if the tail is truncated, zero-fill that too.
@@ -363,7 +386,10 @@ func packetCRC32OK(hdrFields, payload, crc []byte) bool {
 // with more decoded symbols, then preamble over postamble (preamble
 // reception needs no rollback and is what the status quo would deliver).
 // It compacts in place and finishes with an allocation-free insertion sort
-// — the reception count per stream is tiny.
+// — the reception count per stream is tiny. Postamble receptions that would
+// lose here never reach it: receiveFromPostamble drops them before
+// despreading their payload (superseded), which leaves the result as if
+// they had been decoded and discarded.
 func dedupe(recs []Reception) []Reception {
 	n := 0
 	for i := range recs {

@@ -95,20 +95,14 @@ const (
 	segChips   = padWindows * probeChips
 )
 
-// delimWord packs a sync pattern's delimiter byte (two codewords) into the
-// 64-chip block the scan compares against.
-func delimWord(delim byte) uint64 {
-	cws := phy.SpreadSymbols(symbolsOfBytes([]byte{delim}))
-	return uint64(cws[0])<<32 | uint64(cws[1])
-}
-
 var (
 	// padWord is one 64-chip block of the shared sync pad: the zero byte's
 	// two codeword-0 repetitions. All four pad blocks are identical.
-	padWord = uint64(chipseq.Codeword(0))<<32 | uint64(chipseq.Codeword(0))
-	// preDelimWord and postDelimWord are the fifth, distinguishing blocks.
-	preDelimWord  = delimWord(SFD)
-	postDelimWord = delimWord(PSFD)
+	padWord = phy.ByteWord(0)
+	// preDelimWord and postDelimWord are the fifth, distinguishing blocks:
+	// the delimiter bytes on the air.
+	preDelimWord  = phy.ByteWord(SFD)
+	postDelimWord = phy.ByteWord(PSFD)
 )
 
 // FindSyncs scans the buffer for preamble and postamble patterns, returning

@@ -123,9 +123,35 @@ func SpreadBytes(data []byte) []uint32 {
 	return SpreadSymbols(bitutil.NibblesFromBytes(data))
 }
 
+// byteWords[b] is byte b's 64 chips on the air: the codeword of its low
+// nibble, sent first, in the upper half and that of its high nibble in the
+// lower half.
+var byteWords = func() (t [256]uint64) {
+	for b := range t {
+		t[b] = uint64(chipseq.Codeword(byte(b)&0x0f))<<32 | uint64(chipseq.Codeword(byte(b)>>4))
+	}
+	return t
+}()
+
+// ByteWord returns byte b's 64 chips on the air as one packed word, the
+// first chip at bit 63.
+func ByteWord(b byte) uint64 { return byteWords[b] }
+
+// SpreadPacked spreads bytes straight into a packed chip stream, one table
+// word per byte — the transmitter's path onto the air. It equals
+// bitutil.PackChipBytes(ChipsOf(SpreadBytes(data))) without building
+// either intermediate.
+func SpreadPacked(data []byte) *bitutil.ChipWords {
+	words := make([]uint64, len(data))
+	for i, b := range data {
+		words[i] = byteWords[b]
+	}
+	return bitutil.ChipWordsOf(words)
+}
+
 // ChipsOf flattens codewords into a chip slice (one byte per chip, 0 or 1),
 // the representation of the sample-level modem boundary. The simulator
-// proper works over packed words (bitutil.PackWord32s / DecodeStream).
+// proper works over packed words (SpreadPacked / DecodeStream).
 func ChipsOf(cws []uint32) []byte {
 	out := make([]byte, 0, len(cws)*chipseq.ChipsPerSymbol)
 	for _, cw := range cws {

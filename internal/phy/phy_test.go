@@ -12,9 +12,7 @@ import (
 
 func TestSpreadDecodeRoundTripClean(t *testing.T) {
 	f := func(data []byte) bool {
-		cws := SpreadBytes(data)
-		chips := bitutil.PackWord32s(cws)
-		ds := DecodeStream(HardDecoder{}, chips)
+		ds := DecodeStream(HardDecoder{}, SpreadPacked(data))
 		got := bitutil.BytesFromNibbles(SymbolsOf(ds))
 		if !bytes.Equal(got, data) {
 			return false
@@ -28,6 +26,30 @@ func TestSpreadDecodeRoundTripClean(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSpreadPackedMatchesBytePath checks the transmit table against the
+// codeword-by-codeword spread, chip by chip: every single byte, then
+// random buffers.
+func TestSpreadPackedMatchesBytePath(t *testing.T) {
+	check := func(data []byte) {
+		t.Helper()
+		got, want := SpreadPacked(data), bitutil.PackChipBytes(ChipsOf(SpreadBytes(data)))
+		if got.Len() != want.Len() || !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("SpreadPacked(% x) diverges from the codeword path", data[:min(len(data), 8)])
+		}
+	}
+	for b := 0; b < 256; b++ {
+		check([]byte{byte(b)})
+	}
+	rng := stats.NewRNG(21)
+	for _, n := range []int{0, 2, 3, 17, 1500} {
+		data := make([]byte, n)
+		for i := range data {
+			data[i] = byte(rng.Intn(256))
+		}
+		check(data)
 	}
 }
 
