@@ -26,7 +26,6 @@ import (
 	"ppr/internal/core/softphy"
 	"ppr/internal/experiments"
 	"ppr/internal/fec"
-	"ppr/internal/fec/sovaref"
 	"ppr/internal/frame"
 	"ppr/internal/frame/syncref"
 	"ppr/internal/linkserv"
@@ -631,40 +630,6 @@ func BenchmarkFindSyncs(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if syncs := syncref.FindSyncs(buf, frame.DefaultSyncMaxDist); len(syncs) != want {
 				b.Fatalf("got %d syncs, want %d", len(syncs), want)
-			}
-		}
-	})
-}
-
-// BenchmarkFECDecode measures the flattened SOVA trellis against the frozen
-// seed implementation (internal/fec/sovaref) on a 1500-byte coded packet
-// with 3% channel errors. TestDecodeMatchesSovaref proves bit-identical
-// output; TestSOVADecodeSpeedGate enforces the ≥3x ratio.
-func BenchmarkFECDecode(b *testing.B) {
-	rng := stats.NewRNG(888)
-	data := make([]byte, 1500*8)
-	for i := range data {
-		data[i] = byte(rng.Intn(2))
-	}
-	coded := fec.Encode(data)
-	for i := range coded {
-		if rng.Bool(0.03) {
-			coded[i] ^= 1
-		}
-	}
-	b.Run("new", func(b *testing.B) {
-		b.SetBytes(1500)
-		for i := 0; i < b.N; i++ {
-			if _, err := fec.Decode(coded); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("ref", func(b *testing.B) {
-		b.SetBytes(1500)
-		for i := 0; i < b.N; i++ {
-			if _, err := sovaref.Decode(coded); err != nil {
-				b.Fatal(err)
 			}
 		}
 	})

@@ -14,7 +14,7 @@
 //
 // fec exists to demonstrate the paper's architectural claim (Sec. 3.3):
 // higher layers consume hints through the same monotonic interface no
-// matter which PHY produced them. CodedDecoder adapts the Viterbi
+// matter which PHY produced them. DecisionsFromResult adapts the Viterbi
 // reliabilities to the phy.Decision hint convention, and the PP-ARQ stack
 // runs over it unchanged (see the integration tests).
 package fec
@@ -139,8 +139,9 @@ func init() {
 // each of the 64 next-states has exactly two predecessors, so one compare
 // per state replaces the seed's per-transition bookkeeping. The
 // reliability window is a monotonic-deque sliding minimum, O(n) instead of
-// O(n·5K). Outputs are bit-identical to the frozen reference
-// (internal/fec/sovaref); the parity tests pin that.
+// O(n·5K). Outputs are bit-identical to the seed's decoder: TestDecodeGolden
+// pins the bits and reliabilities with a digest recorded when the two were
+// proved equal.
 func Decode(coded []byte) (Result, error) {
 	if len(coded)%Rate != 0 {
 		return Result{}, fmt.Errorf("fec: coded length %d not a multiple of %d", len(coded), Rate)
@@ -163,51 +164,23 @@ func Decode(coded []byte) (Result, error) {
 	survivors := make([]uint64, nBranches)
 	deltas := make([]int32, nBranches*numStates)
 
-	// Warm-up steps: until the trellis fans out from state 0 to all 64
-	// states (K−1 steps), unreachable predecessors need the full
-	// reachability switch of the reference recursion.
-	warm := K - 1
-	if warm > nBranches {
-		warm = nBranches
-	}
-	for t := 0; t < warm; t++ {
-		rx := coded[t*Rate]<<1 | coded[t*Rate+1]
-		bm := &branchMetrics[rx&0b11]
-		dl := deltas[t*numStates : (t+1)*numStates : (t+1)*numStates]
-		var sur uint64
+	// Warm-up: before step K−1 no p1 predecessor is reachable (see
+	// Repairs), so each state extends its p0 path or stays unreachable, and
+	// the survivor bit stays 0. The margin against the unreachable
+	// competitor is inf − metric: larger than any steady-state margin, so
+	// every reliability window (which reaches step K−1) ignores it.
+	for t := 0; t < K-1; t++ {
+		bm := &branchMetrics[(coded[t*Rate]<<1|coded[t*Rate+1])&0b11]
+		dl := (*[numStates]int32)(deltas[t*numStates:])
 		for ns := 0; ns < numStates; ns++ {
-			// ns's two predecessors differ only in their oldest register
-			// bit: p0 (low bit 0, processed first in the seed's state
-			// order) and p1. The branch input bit is ns's top bit.
-			b := ns >> (K - 2)
 			p0 := (ns << 1) & (numStates - 1)
-			p1 := p0 | 1
-			m0, m1 := metric[p0], metric[p1]
-			reach0, reach1 := m0 < inf, m1 < inf
-			m0 += bm[outputs[p0][b]]
-			m1 += bm[outputs[p1][b]]
-			switch {
-			case reach0 && reach1:
-				if m1 < m0 {
-					next[ns] = m1
-					dl[ns] = m0 - m1
-					sur |= 1 << uint(ns)
-				} else {
-					next[ns] = m0
-					dl[ns] = m1 - m0
-				}
-			case reach0:
-				next[ns] = m0
-				dl[ns] = inf - m0
-			case reach1:
-				next[ns] = m1
-				dl[ns] = inf - m1
-				sur |= 1 << uint(ns)
-			default:
+			if m := metric[p0]; m < inf {
+				next[ns] = m + bm[outputs[p0][ns>>(K-2)]]
+				dl[ns] = inf - next[ns]
+			} else {
 				next[ns] = inf
 			}
 		}
-		survivors[t] = sur
 		metric, next = next, metric
 	}
 
@@ -216,9 +189,8 @@ func Decode(coded []byte) (Result, error) {
 	// their four branch metrics are a and 2−a for a single table value a
 	// (see butterflyOut) — one lookup, two metric loads, two compares per
 	// butterfly.
-	for t := warm; t < nBranches; t++ {
-		rx := coded[t*Rate]<<1 | coded[t*Rate+1]
-		bm := &butterflyBM[rx&0b11]
+	for t := K - 1; t < nBranches; t++ {
+		bm := &butterflyBM[(coded[t*Rate]<<1|coded[t*Rate+1])&0b11]
 		dl := (*[numStates]int32)(deltas[t*numStates:])
 		var sur uint64
 		for j := 0; j < numStates/2; j++ {
@@ -393,16 +365,16 @@ func BytesFromBits(bitsIn []byte) []byte {
 	return out
 }
 
-// CodedDecision despreads one 4-bit symbol worth of decoded bits into the
-// SoftPHY decision convention: symbol value from 4 consecutive bits, hint
-// from the *least* reliable of them, inverted so that lower = more
-// confident (the monotonicity contract). maxReliability anchors the scale.
+// maxReliability anchors DecisionsFromResult's hint scale: a symbol's hint
+// is maxReliability minus the reliability of its least reliable bit,
+// clamped at 0, so that lower = more confident (the monotonicity contract).
 const maxReliability = 16.0
 
 // DecisionsFromResult converts a decode result into per-4-bit-symbol
 // phy.Decisions, the same stream shape the DSSS PHY produces, so every
 // higher layer (labelers, run-length, chunk DP, PP-ARQ) runs unchanged on
-// the coded PHY.
+// the coded PHY. Each symbol's value is 4 consecutive bits, LSB first, and
+// its hint comes from the least reliable of them.
 func DecisionsFromResult(res Result) []phy.Decision {
 	n := len(res.Bits) / 4
 	out := make([]phy.Decision, n)

@@ -2,6 +2,7 @@ package fec
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"ppr/internal/core/runlen"
@@ -170,6 +171,69 @@ func TestBitsBytesRoundTrip(t *testing.T) {
 		}
 		if !bytes.Equal(BytesFromBits(BitsFromBytes(data)), data) {
 			t.Fatal("bit/byte round trip failed")
+		}
+	}
+}
+
+// TestBitsBytesRoundTripAllLengths is the pre-sizing property test: for
+// every payload length 0..256, bytes -> bits -> bytes is the identity and
+// the intermediate slices have exactly their final lengths.
+func TestBitsBytesRoundTripAllLengths(t *testing.T) {
+	rng := stats.NewRNG(321)
+	for n := 0; n <= 256; n++ {
+		data := make([]byte, n)
+		for i := range data {
+			data[i] = byte(rng.Intn(256))
+		}
+		bits := BitsFromBytes(data)
+		if len(bits) != n*8 || len(bits) != cap(bits) {
+			t.Fatalf("n=%d: bits len %d cap %d, want exactly %d", n, len(bits), cap(bits), n*8)
+		}
+		back := BytesFromBits(bits)
+		if len(back) != n {
+			t.Fatalf("n=%d: round trip length %d", n, len(back))
+		}
+		for i := range back {
+			if back[i] != data[i] {
+				t.Fatalf("n=%d byte %d: %#x != %#x", n, i, back[i], data[i])
+			}
+		}
+	}
+}
+
+// TestDecisionsFromResultPreSized checks the conversion's exact output
+// length and hint clamping across lengths.
+func TestDecisionsFromResultPreSized(t *testing.T) {
+	rng := stats.NewRNG(555)
+	for _, nBits := range []int{0, 4, 8, 40, 400} {
+		res := Result{
+			Bits:        make([]byte, nBits),
+			Reliability: make([]float64, nBits),
+		}
+		for i := range res.Bits {
+			res.Bits[i] = byte(rng.Intn(2))
+			res.Reliability[i] = float64(rng.Intn(40))
+		}
+		ds := DecisionsFromResult(res)
+		if len(ds) != nBits/4 || len(ds) != cap(ds) {
+			t.Fatalf("nBits=%d: decisions len %d cap %d", nBits, len(ds), cap(ds))
+		}
+		for i, d := range ds {
+			wantSym := res.Bits[i*4]&1 | res.Bits[i*4+1]&1<<1 | res.Bits[i*4+2]&1<<2 | res.Bits[i*4+3]&1<<3
+			if d.Symbol != wantSym {
+				t.Fatalf("symbol %d: %d != %d", i, d.Symbol, wantSym)
+			}
+			minRel := math.Inf(1)
+			for j := 0; j < 4; j++ {
+				minRel = math.Min(minRel, res.Reliability[i*4+j])
+			}
+			wantHint := 16.0 - minRel
+			if wantHint < 0 {
+				wantHint = 0
+			}
+			if d.Hint != wantHint {
+				t.Fatalf("hint %d: %v != %v", i, d.Hint, wantHint)
+			}
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"ppr/internal/core/pparq"
 	"ppr/internal/obs"
 	"ppr/internal/wire"
 )
@@ -15,9 +14,6 @@ import (
 // Config tunes the server's protocol and robustness machinery. The zero
 // value is usable: every knob has a production default.
 type Config struct {
-	// PP configures the PP-ARQ protocol each session drives.
-	PP pparq.Config
-
 	// MaxFlows is the circuit: opens past this many concurrently active
 	// flows are shed with CodeBusy. Default 16384.
 	MaxFlows int

@@ -51,7 +51,7 @@ func newSession(c *serverConn, flow uint32) *session {
 	s.sender = pparq.NewSender(
 		&sessLink{s: s, dir: DirForward},
 		&sessLink{s: s, dir: DirReverse},
-		addrSender, addrReceiver, c.srv.cfg.PP)
+		addrSender, addrReceiver, pparq.Config{})
 	if c.srv.proc != nil {
 		s.lane = c.srv.proc.Lane(c.id<<32|int64(flow), "flow")
 	}
