@@ -261,13 +261,12 @@ func engineCfg(workers int) sim.Config {
 	}
 }
 
-// BenchmarkEngineDeliver measures the delivery engine sequential vs
-// parallel over the identical schedule; the determinism test
+// BenchmarkEngineDeliver measures the delivery engine on one worker vs
+// all cores over the identical schedule; the determinism test
 // (sim.TestDeliverWorkerCountInvariant) proves both produce the same trace,
 // so the ratio of these two numbers is pure engine speedup.
 func BenchmarkEngineDeliver(b *testing.B) {
 	txs := sim.Schedule(engineCfg(1))
-	variants := experiments.StandardVariants()
 	for _, bc := range []struct {
 		name    string
 		workers int
@@ -278,7 +277,7 @@ func BenchmarkEngineDeliver(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			cfg := engineCfg(bc.workers)
 			for i := 0; i < b.N; i++ {
-				outs := sim.Deliver(cfg, txs, variants)
+				outs := sim.Deliver(cfg, txs)
 				if len(outs) == 0 {
 					b.Fatal("no outcomes")
 				}
@@ -329,7 +328,7 @@ func BenchmarkSchemePostProcess(b *testing.B) {
 	for _, s := range schemes.All() {
 		b.Run(schemes.Slug(s.Name()), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				acc := pp.PerLinkDelivery(1, s, p)
+				acc := pp.PerLinkDelivery(sim.VariantPostamble, s, p)
 				if len(acc) == 0 {
 					b.Fatal("no links")
 				}
@@ -356,7 +355,7 @@ func BenchmarkPostProcessWorkers(b *testing.B) {
 			pp := tr.Post(bc.workers)
 			for i := 0; i < b.N; i++ {
 				for _, s := range schemes.All() {
-					if acc := pp.PerLinkDelivery(1, s, p); len(acc) == 0 {
+					if acc := pp.PerLinkDelivery(sim.VariantPostamble, s, p); len(acc) == 0 {
 						b.Fatal("no links")
 					}
 				}

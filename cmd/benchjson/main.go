@@ -1,18 +1,23 @@
 // Command benchjson converts `go test -bench -benchmem` output into a
 // small, schema'd JSON document, and compares two such documents for
-// regressions. It is the tooling behind the repo's persistent bench
-// trajectory: CI regenerates BENCH_<pr>.json on every run, uploads it as an
-// artifact, and fails when a hot-path benchmark regresses by more than the
-// threshold against the previous PR's committed snapshot.
+// regressions. CI's kernel bench gate compares the parent commit's and the
+// head's samples, measured in one session.
 //
-// Emit mode (default) reads bench output from stdin, keeping the fastest
-// sample per benchmark when `-count N` repeats them:
+// Emit mode (default) reads bench output from stdin. A benchmark listed N
+// times (`-count N`, or N rounds of runs) keeps its fastest sample's
+// triple and all N ns/op samples in input order:
 //
 //	go test -run '^$' -bench . -benchmem -count 3 . | benchjson -pr 6 > BENCH_6.json
 //
 // Check mode compares two snapshots and exits nonzero on regression:
 //
 //	benchjson -check -threshold 0.20 BENCH_5.json BENCH_6.json
+//
+// With N samples on both sides, sample i of each is one round measured
+// back to back, and the ns/op delta is the median of the N per-round
+// ratios: load that slows a round slows both its sides, where min-of-N
+// lets one lucky sample decide. Otherwise (older snapshots carry no
+// samples) the fastest samples compare.
 //
 // Benchmark names are normalized by stripping the trailing -GOMAXPROCS
 // suffix so snapshots compare across machines.
@@ -40,11 +45,13 @@ type Snapshot struct {
 	Benchmarks map[string]Measurement `json:"benchmarks"`
 }
 
-// Measurement is one benchmark's result triple.
+// Measurement is one benchmark's fastest result triple, plus the ns/op of
+// every sample in input (round) order.
 type Measurement struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
+	NsPerOp     float64   `json:"ns_per_op"`
+	BytesPerOp  float64   `json:"bytes_per_op"`
+	AllocsPerOp float64   `json:"allocs_per_op"`
+	Samples     []float64 `json:"samples,omitempty"`
 }
 
 const schemaID = "ppr-bench/v1"
@@ -91,14 +98,14 @@ func emit(r *os.File, w *os.File, pr int) error {
 		if !ok {
 			continue
 		}
-		// With `-count N` input the same benchmark appears N times; keep
-		// the fastest sample. Minimum-of-N is the standard noise-robust
-		// statistic for benchmarks — interference only ever slows a run
-		// down — and it is what makes the regression gate usable on busy
-		// shared runners.
-		if prev, dup := snap.Benchmarks[name]; !dup || meas.NsPerOp < prev.NsPerOp {
-			snap.Benchmarks[name] = meas
+		// Interference only ever slows a run down: keep the fastest triple.
+		prev, dup := snap.Benchmarks[name]
+		samples := append(prev.Samples, meas.NsPerOp)
+		if dup && prev.NsPerOp <= meas.NsPerOp {
+			meas = prev
 		}
+		meas.Samples = samples
+		snap.Benchmarks[name] = meas
 	}
 	if err := sc.Err(); err != nil {
 		return err
@@ -185,7 +192,7 @@ func checkSnapshots(prevPath, curPath string, threshold float64, allowMissing bo
 		if p.NsPerOp <= 0 {
 			continue
 		}
-		delta := c.NsPerOp/p.NsPerOp - 1
+		delta, stat := nsDelta(p, c)
 		status := "ok"
 		if delta > threshold {
 			status = "REGRESSION"
@@ -195,8 +202,8 @@ func checkSnapshots(prevPath, curPath string, threshold float64, allowMissing bo
 			status = "ALLOC REGRESSION"
 			failed = true
 		}
-		fmt.Printf("%-50s %14.0f -> %14.0f ns/op  %+6.1f%%  %6.1f -> %6.1f allocs/op  %s\n",
-			name, p.NsPerOp, c.NsPerOp, delta*100, p.AllocsPerOp, c.AllocsPerOp, status)
+		fmt.Printf("%-50s %14.0f -> %14.0f ns/op  %+6.1f%% %-10s %6.1f -> %6.1f allocs/op  %s\n",
+			name, p.NsPerOp, c.NsPerOp, delta*100, stat, p.AllocsPerOp, c.AllocsPerOp, status)
 	}
 	if failed {
 		fmt.Printf("FAIL: ns/op or allocs/op regression beyond %.0f%%, or missing benchmarks (PR %d -> PR %d)\n",
@@ -206,6 +213,23 @@ func checkSnapshots(prevPath, curPath string, threshold float64, allowMissing bo
 	fmt.Printf("all %d shared benchmarks within %.0f%% (PR %d -> PR %d)\n",
 		len(names), threshold*100, prev.PR, cur.PR)
 	return 0
+}
+
+// nsDelta is CUR's ns/op change against PREV as a fraction: the median of
+// the per-round ratios when both sides hold the same number of samples,
+// else the ratio of the fastest samples. stat names the statistic used.
+func nsDelta(prev, cur Measurement) (delta float64, stat string) {
+	n := len(prev.Samples)
+	if n == 0 || len(cur.Samples) != n {
+		return cur.NsPerOp/prev.NsPerOp - 1, "(min)"
+	}
+	ratios := make([]float64, n)
+	for i := range ratios {
+		ratios[i] = cur.Samples[i] / prev.Samples[i]
+	}
+	sort.Float64s(ratios)
+	med := (ratios[(n-1)/2] + ratios[n/2]) / 2
+	return med - 1, fmt.Sprintf("(paired %d)", n)
 }
 
 // allocsRegressed reports whether cur's allocs/op meaningfully regressed

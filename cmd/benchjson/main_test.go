@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"testing"
 )
 
@@ -143,7 +144,53 @@ func TestEmitKeepsFastestSample(t *testing.T) {
 	if m.NsPerOp != 150 || m.AllocsPerOp != 1 {
 		t.Errorf("kept %+v, want the fastest (150 ns/op) sample", m)
 	}
+	if want := []float64{200, 150, 180}; !slices.Equal(m.Samples, want) {
+		t.Errorf("samples %v, want %v in input order", m.Samples, want)
+	}
 	if snap.PR != 9 {
 		t.Errorf("pr = %d", snap.PR)
+	}
+}
+
+// TestCheckPairsRounds pins check mode's statistic when both sides hold
+// rounds of samples: the median of the per-round ratios, so one lucky
+// sample on either side cannot decide the verdict the way min-of-N lets
+// it.
+func TestCheckPairsRounds(t *testing.T) {
+	cases := []struct {
+		name      string
+		prev, cur []float64
+		want      int
+	}{
+		// Min-of-N reads -30% on cur's one lucky round; every other
+		// round is 30% slower.
+		{"lucky head sample", []float64{100, 100, 100}, []float64{70, 130, 130}, 1},
+		// Min-of-N reads +30% against prev's one lucky round; the other
+		// rounds are faster at head.
+		{"lucky parent sample", []float64{100, 200, 200}, []float64{130, 130, 130}, 0},
+		{"uniform slowdown", []float64{100, 150, 120, 110}, []float64{130, 195, 156, 143}, 1},
+		{"equal", []float64{100, 150, 120, 110}, []float64{100, 150, 120, 110}, 0},
+	}
+	for _, c := range cases {
+		prev := writeSnap(t, map[string]Measurement{"BenchmarkK": {NsPerOp: slices.Min(c.prev), Samples: c.prev}})
+		cur := writeSnap(t, map[string]Measurement{"BenchmarkK": {NsPerOp: slices.Min(c.cur), Samples: c.cur}})
+		if got := checkSnapshots(prev, cur, 0.20, false); got != c.want {
+			t.Errorf("%s: checkSnapshots = %d, want %d", c.name, got, c.want)
+		}
+	}
+}
+
+// TestNsDeltaFallsBackToMin: without equal sample counts (a committed
+// snapshot from before samples were kept) the fastest samples compare.
+func TestNsDeltaFallsBackToMin(t *testing.T) {
+	prev := Measurement{NsPerOp: 100}
+	cur := Measurement{NsPerOp: 125, Samples: []float64{125, 140}}
+	if d, _ := nsDelta(prev, cur); d != 0.25 {
+		t.Errorf("delta %v, want 0.25", d)
+	}
+	prev.Samples = []float64{100, 100}
+	cur.Samples = []float64{125, 150}
+	if d, _ := nsDelta(prev, cur); d != 0.375 {
+		t.Errorf("paired delta %v, want the mean of the middle ratios, 0.375", d)
 	}
 }

@@ -39,7 +39,7 @@ func main() {
 		CarrierSense: *cs,
 		Seed:         *seed,
 	}
-	_, outs := sim.Run(cfg, experiments.StandardVariants())
+	_, outs := sim.Run(cfg)
 	w := bufio.NewWriter(os.Stdout)
 	defer w.Flush()
 
@@ -48,7 +48,7 @@ func main() {
 		fmt.Fprintln(w, "src,receiver,sync,codeword,hint,correct")
 		for i := range outs {
 			out := &outs[i]
-			if !out.Acquired || out.Variant != 1 {
+			if !out.Acquired || out.Variant != sim.VariantPostamble {
 				continue
 			}
 			for k, d := range out.Decisions {
@@ -68,7 +68,7 @@ func main() {
 		pp := experiments.NewPost(outs, cfg.PacketBytes, 0)
 		fmt.Fprintln(w, "src,receiver,scheme,postamble,packets,delivered_bytes,sent_bytes,rate")
 		for _, scheme := range schemes.All() {
-			for variant := 0; variant < 2; variant++ {
+			for variant := range sim.VariantNames {
 				acc := pp.PerLinkDelivery(variant, scheme, p)
 				for k, a := range acc {
 					fmt.Fprintf(w, "%d,%d,%s,%d,%d,%d,%d,%g\n",

@@ -7,6 +7,7 @@ import (
 	"ppr/internal/frame"
 	"ppr/internal/phy"
 	"ppr/internal/schemes"
+	"ppr/internal/sim"
 	"ppr/internal/stats"
 )
 
@@ -155,9 +156,8 @@ func summaryCtx(ctx context.Context, o Options) ([]SummaryRow, error) {
 			return 0, err
 		}
 		pp := tr.Post(o.Workers)
-		const variant = 1
-		am := stats.MedianOrZero(ThroughputsKbps(pp.PerLinkDelivery(variant, a, p), tr.Cfg.DurationSec))
-		bm := stats.MedianOrZero(ThroughputsKbps(pp.PerLinkDelivery(variant, b, p), tr.Cfg.DurationSec))
+		am := stats.MedianOrZero(ThroughputsKbps(pp.PerLinkDelivery(sim.VariantPostamble, a, p), tr.Cfg.DurationSec))
+		bm := stats.MedianOrZero(ThroughputsKbps(pp.PerLinkDelivery(sim.VariantPostamble, b, p), tr.Cfg.DurationSec))
 		if bm == 0 {
 			return 0, nil
 		}

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"ppr/internal/schemes"
+	"ppr/internal/sim"
 	"ppr/internal/stats"
 )
 
@@ -52,10 +53,10 @@ func deliveryFigureCtx(ctx context.Context, o Options, name string, offeredBps f
 
 	fig := DeliveryFigure{Name: name, OfferedBps: offeredBps, CarrierSense: carrierSense}
 	for _, scheme := range o.schemeList() {
-		for variant := 0; variant < 2; variant++ {
+		for variant := range sim.VariantNames {
 			acc := pp.PerLinkDelivery(variant, scheme, p)
 			rates := Rates(acc)
-			label := fmt.Sprintf("%s, %s", scheme.Name(), StandardVariants()[variant].Name)
+			label := fmt.Sprintf("%s, %s", scheme.Name(), sim.VariantNames[variant])
 			fig.Curves = append(fig.Curves, DeliveryCurve{
 				Label:  label,
 				CDF:    stats.CDF(rates),
@@ -112,10 +113,10 @@ func fig11Ctx(ctx context.Context, o Options) (ThroughputFigure, error) {
 
 	fig := ThroughputFigure{OfferedBps: LoadMedium}
 	for _, scheme := range o.schemeList() {
-		for variant := 0; variant < 2; variant++ {
+		for variant := range sim.VariantNames {
 			acc := pp.PerLinkDelivery(variant, scheme, p)
 			tputs := ThroughputsKbps(acc, cfg.DurationSec)
-			label := fmt.Sprintf("%s, %s", scheme.Name(), StandardVariants()[variant].Name)
+			label := fmt.Sprintf("%s, %s", scheme.Name(), sim.VariantNames[variant])
 			fig.Curves = append(fig.Curves, DeliveryCurve{
 				Label:  label,
 				CDF:    stats.CDF(tputs),
@@ -157,7 +158,7 @@ func Fig12(o Options) []ScatterSeries {
 
 func fig12Ctx(ctx context.Context, o Options) ([]ScatterSeries, error) {
 	p := DefaultSchemeParams()
-	const variant = 1 // postamble decoding on
+	const variant = sim.VariantPostamble
 	var series []ScatterSeries
 	for _, load := range Loads {
 		tr, err := o.TraceContext(ctx, load, false)
@@ -226,7 +227,7 @@ func table2Ctx(ctx context.Context, o Options) ([]Table2Row, error) {
 	}
 	cfg := tr.Cfg
 	pp := tr.Post(o.Workers)
-	const variant = 1
+	const variant = sim.VariantPostamble
 
 	chunkCounts := []int{1, 10, 30, 100, 300}
 	var rows []Table2Row

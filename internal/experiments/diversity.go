@@ -7,6 +7,7 @@ import (
 
 	"ppr/internal/core/combine"
 	"ppr/internal/schemes"
+	"ppr/internal/sim"
 )
 
 // DiversityResult compares single-receiver PPR delivery against
@@ -44,7 +45,6 @@ func diversityCtx(ctx context.Context, o Options) (DiversityResult, error) {
 		return DiversityResult{}, err
 	}
 	outs := tr.Outs
-	const variant = 1
 	eta := schemes.DefaultParams().Eta
 
 	// Group receptions by transmission.
@@ -55,7 +55,7 @@ func diversityCtx(ctx context.Context, o Options) (DiversityResult, error) {
 	byTx := map[int]*pkt{}
 	for i := range outs {
 		o := &outs[i]
-		if o.Variant != variant || !o.Acquired {
+		if o.Variant != sim.VariantPostamble || !o.Acquired {
 			continue
 		}
 		p := byTx[o.TxID]

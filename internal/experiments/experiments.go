@@ -345,7 +345,7 @@ func ThroughputsKbps(acc map[LinkKey]LinkAccum, durationSec float64) []float64 {
 }
 
 // Trace is one memoized simulation run: the schedule and the full outcome
-// trace for the StandardVariants at one operating point. Experiments
+// trace for both receiver variants at one operating point. Experiments
 // post-process it; they never mutate it.
 type Trace struct {
 	// Cfg is the configuration the trace was produced under.
@@ -463,7 +463,7 @@ func (c *TraceCache) GetContext(ctx context.Context, o Options, load float64, ca
 	if e.tr == nil {
 		cfg := o.simConfig(o.Bed(), load, carrierSense)
 		fillStart := time.Now()
-		txs, outs, err := sim.RunContext(ctx, cfg, StandardVariants())
+		txs, outs, err := sim.RunContext(ctx, cfg)
 		if err != nil {
 			// Drop the unfilled entry (unless Reset already replaced the
 			// map) so a future Get simulates instead of seeing a nil trace.
@@ -517,13 +517,4 @@ func (o Options) Trace(load float64, carrierSense bool) *Trace {
 // uses, so a Runner cancellation reaches the simulation windows.
 func (o Options) TraceContext(ctx context.Context, load float64, carrierSense bool) (*Trace, error) {
 	return o.cache().GetContext(ctx, o, load, carrierSense)
-}
-
-// StandardVariants returns the two receiver variants every capacity
-// experiment compares: without and with postamble decoding.
-func StandardVariants() []sim.Variant {
-	return []sim.Variant{
-		{Name: "no postamble decoding", UsePostamble: false},
-		{Name: "postamble decoding", UsePostamble: true},
-	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ppr/internal/schemes"
+	"ppr/internal/sim"
 	"ppr/internal/stats"
 )
 
@@ -348,7 +349,7 @@ func TestPerLinkDeliveryWorkerInvariant(t *testing.T) {
 	seq := NewPost(tr.Outs, tr.Cfg.PacketBytes, 1)
 	par := NewPost(tr.Outs, tr.Cfg.PacketBytes, 8)
 	for _, s := range schemes.All() {
-		for variant := 0; variant < 2; variant++ {
+		for variant := range sim.VariantNames {
 			a := seq.PerLinkDelivery(variant, s, p)
 			b := par.PerLinkDelivery(variant, s, p)
 			if !reflect.DeepEqual(a, b) {

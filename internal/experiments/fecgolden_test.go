@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ppr/internal/schemes"
+	"ppr/internal/sim"
 )
 
 // fecSchemesDigest hashes every FEC-family scheme's per-link delivered
@@ -23,7 +24,7 @@ func fecSchemesDigest(t *testing.T, tr *Trace) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for variant := range StandardVariants() {
+		for variant := range sim.VariantNames {
 			acc := pp.PerLinkDelivery(variant, s, p)
 			keys := make([]LinkKey, 0, len(acc))
 			for k := range acc {

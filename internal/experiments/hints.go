@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"ppr/internal/schemes"
+	"ppr/internal/sim"
 	"ppr/internal/stats"
 )
 
@@ -32,7 +33,7 @@ func hintTrace(ctx context.Context, o Options, offeredBps float64) (correct, inc
 	outs := tr.Outs
 	for i := range outs {
 		out := &outs[i]
-		if !out.Acquired || out.Variant != 1 {
+		if !out.Acquired || out.Variant != sim.VariantPostamble {
 			continue
 		}
 		for k, d := range out.Decisions {
@@ -109,7 +110,7 @@ func fig14Ctx(ctx context.Context, o Options) ([]MissLengthCurve, error) {
 		misses, incorrect := 0, 0
 		for i := range outs {
 			out := &outs[i]
-			if !out.Acquired || out.Variant != 1 {
+			if !out.Acquired || out.Variant != sim.VariantPostamble {
 				continue
 			}
 			run := 0

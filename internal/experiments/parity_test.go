@@ -130,10 +130,10 @@ func legacyDeliveryFigure(o Options, name string, offeredBps float64, carrierSen
 
 	fig := DeliveryFigure{Name: name, OfferedBps: offeredBps, CarrierSense: carrierSense}
 	for _, scheme := range []legacyScheme{legacyPacketCRC, legacyFragCRC, legacyPPR} {
-		for variant := 0; variant < 2; variant++ {
+		for variant := range sim.VariantNames {
 			acc := legacyPerLinkDelivery(outs, variant, scheme, p, cfg.PacketBytes)
 			rates := Rates(acc)
-			label := fmt.Sprintf("%s, %s", scheme, StandardVariants()[variant].Name)
+			label := fmt.Sprintf("%s, %s", scheme, sim.VariantNames[variant])
 			var median float64
 			if len(rates) > 0 {
 				median = stats.Median(rates)
@@ -204,7 +204,7 @@ func TestPerLinkDeliveryMatchesLegacyAccumulators(t *testing.T) {
 		{schemes.PPR{}, legacyPPR},
 	}
 	for _, pair := range pairs {
-		for variant := 0; variant < 2; variant++ {
+		for variant := range sim.VariantNames {
 			got := pp.PerLinkDelivery(variant, pair.reg, p)
 			want := legacyPerLinkDelivery(tr.Outs, variant, pair.leg, p, tr.Cfg.PacketBytes)
 			if !reflect.DeepEqual(got, want) {

@@ -7,9 +7,9 @@ import (
 )
 
 // mSyncsFound counts sync detections across every scan, whoever runs it:
-// Receiver.Receive scans per call, the simulator once per window for all
-// its receiver variants. AppendSyncs is a free function with no
-// construction moment, so the site goes through an obs Var.
+// Receiver.Receive scans per call, the simulator once per window.
+// AppendSyncs is a free function with no construction moment, so the site
+// goes through an obs Var.
 var mSyncsFound = &obs.CounterVar{Name: "frame.syncs_found"}
 
 // rxShardSeq spreads Receivers across registry cells: the simulators keep
@@ -22,7 +22,8 @@ var rxShardSeq atomic.Int64
 // call, zero allocations) when metrics are disabled — the contract
 // TestMetricsDisabledAllocs pins.
 type rxMetrics struct {
-	// receptions counts header-verified receptions after deduplication.
+	// receptions counts header-verified receptions after deduplication,
+	// once per receive pass.
 	receptions *obs.CounterCell
 	// crcFail counts header-verified receptions whose whole-packet CRC
 	// failed — the partial packets PPR exists to recover.

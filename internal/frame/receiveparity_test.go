@@ -12,7 +12,8 @@ import (
 
 // Parity suite for the superseded-rollback skip: Receiver.Receive must
 // return exactly what the receive loop returned when it decoded every sync
-// in full and let dedupe pick. refReceive below is that loop, frozen; it
+// in full and let dedupe pick, and ReceiveSynced's preamble view exactly
+// what that loop returned without postamble decoding. refReceive below is that loop, frozen; it
 // shares nothing with the receiver but the exported frame format helpers.
 
 // refReceive decodes every sync's reception in full, then deduplicates.
@@ -247,6 +248,17 @@ func checkParity(t *testing.T, name string, c parityCase) (got, ref int) {
 	// Repeat on the warm receiver: its recycled arenas must not leak state.
 	if d := receptionsDiff(rx.Receive(buf), want); d != "" {
 		t.Errorf("%s (second call): %s", name, d)
+	}
+	// ReceiveSynced returns Receive's receptions plus a preamble view that
+	// must equal a status-quo (UsePostamble = false) reference. Both views
+	// share the arenas, so compare them only once both are out.
+	wantPre := refReceive(c.dec, false, c.bufferChips, buf)
+	recs, pre := rx.ReceiveSynced(buf, frame.FindSyncs(buf, frame.DefaultSyncMaxDist))
+	if d := receptionsDiff(recs, want); d != "" {
+		t.Errorf("%s (ReceiveSynced): %s", name, d)
+	}
+	if d := receptionsDiff(pre, wantPre); d != "" {
+		t.Errorf("%s (preamble view): %s", name, d)
 	}
 	return got, ref
 }

@@ -65,6 +65,8 @@ type decodeScratch struct {
 	syncs []Sync
 	// recs backs the returned Reception slice.
 	recs []Reception
+	// pre backs ReceiveSynced's preamble view.
+	pre []Reception
 	// dec is the decision arena; each decoded region is a span of it.
 	dec []phy.Decision
 	// bytes is the byte arena for headers, payloads and CRC fields.
@@ -124,6 +126,7 @@ func (s *decodeScratch) symbolScratch(n int) []byte {
 // their high-water capacity; only the lengths rewind.
 func (s *decodeScratch) reset() {
 	s.recs = s.recs[:0]
+	s.pre = s.pre[:0]
 	s.dec = s.dec[:0]
 	s.bytes = s.bytes[:0]
 }
@@ -219,14 +222,23 @@ func (r *Receiver) decodeBytes(buf *ChipBuffer, chipOff, nBytes int) (b []byte, 
 // ReceiveSynced call on this Receiver.
 func (r *Receiver) Receive(buf *ChipBuffer) []Reception {
 	r.scratch.syncs = AppendSyncs(r.scratch.syncs[:0], buf, r.SyncMaxDist)
-	return r.ReceiveSynced(buf, r.scratch.syncs)
+	return r.receive(buf, r.scratch.syncs, false)
 }
 
-// ReceiveSynced decodes receptions from pre-computed sync detections. The
-// sync scan depends only on the chips, so callers evaluating several
-// receiver variants over one stream (the simulator) scan once and decode
-// per variant. The same ownership rule as Receive applies.
-func (r *Receiver) ReceiveSynced(buf *ChipBuffer, syncs []Sync) []Reception {
+// ReceiveSynced decodes receptions from pre-computed sync detections and
+// returns two views of one pass, both under Receive's ownership rule. recs
+// is what Receive returns. preamble is what the call returns with
+// UsePostamble = false, the status quo: the preamble path never depends on
+// UsePostamble, so it is this pass's preamble receptions, deduplicated.
+func (r *Receiver) ReceiveSynced(buf *ChipBuffer, syncs []Sync) (recs, preamble []Reception) {
+	recs = r.receive(buf, syncs, true)
+	return recs, dedupe(r.scratch.pre)
+}
+
+// receive is one decoding pass. With keepPre it also collects the
+// preamble receptions, undeduplicated, in scratch.pre; Receive skips that
+// copy because its callers read one view.
+func (r *Receiver) receive(buf *ChipBuffer, syncs []Sync, keepPre bool) []Reception {
 	r.scratch.reset()
 	for _, s := range syncs {
 		var rec Reception
@@ -242,6 +254,9 @@ func (r *Receiver) ReceiveSynced(buf *ChipBuffer, syncs []Sync) []Reception {
 		}
 		if ok {
 			r.scratch.recs = append(r.scratch.recs, rec)
+			if keepPre && rec.Kind == SyncPreamble {
+				r.scratch.pre = append(r.scratch.pre, rec)
+			}
 		}
 	}
 	recs := dedupe(r.scratch.recs)

@@ -24,8 +24,6 @@ var errFlowIdled = errors.New("linkserv: flow idled out by server")
 // ClientConfig tunes the client end: the remote radio head plus its own
 // robustness knobs. The zero value is usable.
 type ClientConfig struct {
-	// Decoder is the radio head's symbol decoder. Default phy.HardDecoder.
-	Decoder phy.Decoder
 	// Impair, when set, mutates each link-layer frame's chip stream before
 	// it enters the receiver pipeline — the simulated channel. It is called
 	// concurrently from every flow's transfer goroutine and must be safe
@@ -55,9 +53,6 @@ type ClientConfig struct {
 }
 
 func (c ClientConfig) fill() ClientConfig {
-	if c.Decoder == nil {
-		c.Decoder = phy.HardDecoder{}
-	}
 	if c.OpenTimeout == 0 {
 		c.OpenTimeout = 5 * time.Second
 	}
@@ -128,7 +123,7 @@ func NewClient(conn net.Conn, cfg ClientConfig) *Client {
 		closedCh: make(chan struct{}),
 		flows:    map[uint32]*Flow{},
 	}
-	c.rxPool.New = func() any { return frame.NewReceiver(cfg.Decoder) }
+	c.rxPool.New = func() any { return frame.NewReceiver(phy.HardDecoder{}) }
 	c.wg.Add(2)
 	go c.reader()
 	go c.writer()

@@ -23,13 +23,12 @@ func ctxTestConfig(workers int) Config {
 }
 
 // TestRunContextMatchesRun: an uncancelled context changes nothing — the
-// trace is bit-identical to Run's, sequential and parallel.
+// trace is bit-identical to Run's, on one worker and on four.
 func TestRunContextMatchesRun(t *testing.T) {
-	variants := []Variant{{Name: "pa", UsePostamble: true}}
 	for _, workers := range []int{1, 4} {
 		cfg := ctxTestConfig(workers)
-		txs1, outs1 := Run(cfg, variants)
-		txs2, outs2, err := RunContext(context.Background(), cfg, variants)
+		txs1, outs1 := Run(cfg)
+		txs2, outs2, err := RunContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,16 +39,15 @@ func TestRunContextMatchesRun(t *testing.T) {
 }
 
 // TestDeliverContextCancelled: a cancelled context aborts delivery with
-// ctx.Err() on both the sequential and parallel paths, leaving no worker
+// ctx.Err() on a pool of one worker and of four, leaving no worker
 // goroutine behind (the race job would flag one touching test state).
 func TestDeliverContextCancelled(t *testing.T) {
-	variants := []Variant{{Name: "pa", UsePostamble: true}}
 	for _, workers := range []int{1, 4} {
 		cfg := ctxTestConfig(workers)
 		txs := Schedule(cfg)
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		outs, err := DeliverContext(ctx, cfg, txs, variants)
+		outs, err := DeliverContext(ctx, cfg, txs)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}

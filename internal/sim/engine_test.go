@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ppr/internal/frame"
 	"ppr/internal/jam"
 	"ppr/internal/phy"
 	"ppr/internal/scenario"
@@ -17,29 +18,62 @@ import (
 func TestDeliverWorkerCountInvariant(t *testing.T) {
 	cfg := smallCfg(13800, false, 31)
 	txs := Schedule(cfg)
-	vs := variants()
 
 	ref := cfg
 	ref.Workers = 1
-	want := Deliver(ref, txs, vs)
+	want := Deliver(ref, txs)
 	if len(want) == 0 {
 		t.Fatal("no outcomes")
 	}
 	for _, workers := range []int{2, 4, 8} {
 		par := cfg
 		par.Workers = workers
-		got := Deliver(par, txs, vs)
+		got := Deliver(par, txs)
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("outcomes differ between 1 and %d workers", workers)
 		}
 	}
 }
 
+// TestDeliverSharesDecisions: both variants come off one receive pass, so
+// when the postamble variant kept the preamble reception its outcome is the
+// no-postamble one with the Variant changed, Decisions slice included; a
+// postamble reception gets its own copy.
+func TestDeliverSharesDecisions(t *testing.T) {
+	_, outs := Run(smallCfg(13800, false, 31))
+	shared, own := 0, 0
+	for i := 0; i+1 < len(outs); i += 2 {
+		pre, post := outs[i], outs[i+1]
+		if pre.Variant != VariantNoPostamble || post.Variant != VariantPostamble || pre.TxID != post.TxID {
+			t.Fatalf("outcomes %d, %d are not one transmission's variant pair", i, i+1)
+		}
+		if !post.Acquired || len(post.Decisions) == 0 {
+			continue
+		}
+		same := pre.Acquired && len(pre.Decisions) > 0 && &pre.Decisions[0] == &post.Decisions[0]
+		if post.Kind == frame.SyncPostamble {
+			if same {
+				t.Fatalf("tx %d: a postamble reception shares the preamble outcome's decisions", post.TxID)
+			}
+			own++
+			continue
+		}
+		pre.Variant = VariantPostamble
+		if !same || !reflect.DeepEqual(pre, post) {
+			t.Fatalf("tx %d: preamble reception not shared between the variants", post.TxID)
+		}
+		shared++
+	}
+	if shared == 0 || own == 0 {
+		t.Errorf("shared %d, own %d: want both", shared, own)
+	}
+}
+
 func TestDeliverRepeatedRunsIdentical(t *testing.T) {
 	cfg := smallCfg(6900, true, 37)
 	txs := Schedule(cfg)
-	a := Deliver(cfg, txs, variants())
-	b := Deliver(cfg, txs, variants())
+	a := Deliver(cfg, txs)
+	b := Deliver(cfg, txs)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same config produced different traces")
 	}
@@ -175,10 +209,10 @@ func TestScheduleScenarioPeriodicJammer(t *testing.T) {
 	// must be below the clean run's on at least one audible link.
 	clean := smallCfg(3500, true, 43)
 	rate := func(c Config) float64 {
-		_, outs := Run(c, variants())
+		_, outs := Run(c)
 		acq, tot := 0, 0
 		for _, o := range outs {
-			if o.Variant != 1 || o.Src == 0 {
+			if o.Variant != VariantPostamble || o.Src == 0 {
 				continue
 			}
 			tot++

@@ -87,7 +87,6 @@ func TestJamStrategyParityWithLegacyJammers(t *testing.T) {
 // once sequentially, once on 3 workers — and requires bit-identical
 // schedules and delivery traces.
 func TestJamScenariosDeterministicAndWorkerInvariant(t *testing.T) {
-	variants := []Variant{{Name: "pre"}, {Name: "prepost", UsePostamble: true}}
 	for _, name := range jam.Names() {
 		sc, err := scenario.ByName("jam-" + name)
 		if err != nil {
@@ -104,7 +103,7 @@ func TestJamScenariosDeterministicAndWorkerInvariant(t *testing.T) {
 				Scenario:     sc,
 				Workers:      workers,
 			}
-			txs, outs := Run(cfg, variants)
+			txs, outs := Run(cfg)
 			return fingerprints(txs), outs
 		}
 		fp1, out1 := run(1)
@@ -164,7 +163,7 @@ func TestWithJamStrategyMatchesRegistry(t *testing.T) {
 		cfg.PacketBytes = 100
 		cfg.DurationSec = 0.3
 		cfg.Scenario = sc
-		return Run(cfg, []Variant{{Name: "postamble", UsePostamble: true}})
+		return Run(cfg)
 	}
 	wantTxs, wantOuts := run(reg)
 	gotTxs, gotOuts := run(manual)

@@ -60,8 +60,8 @@ type Config struct {
 	// Scenario assigns each sender a traffic model; nil means the paper's
 	// all-Poisson workload (scenario.Poisson()).
 	Scenario scenario.Scenario
-	// Workers bounds Deliver's parallelism; 0 means runtime.NumCPU(), 1
-	// forces the sequential path. Results do not depend on Workers.
+	// Workers bounds Deliver's parallelism; 0 means runtime.NumCPU().
+	// Results do not depend on Workers.
 	Workers int
 }
 
@@ -333,7 +333,7 @@ type Outcome struct {
 	TxID int
 	// Src is the sender index; Receiver the receiver index.
 	Src, Receiver int
-	// Variant indexes the receiver variant (see Deliver).
+	// Variant is VariantNoPostamble or VariantPostamble.
 	Variant int
 	// Acquired reports whether any sync (preamble or postamble) locked and
 	// produced a header-verified reception for this transmission.
@@ -345,7 +345,8 @@ type Outcome struct {
 	// MissingPrefix counts undecoded leading symbols (postamble rollback).
 	MissingPrefix int
 	// Decisions holds the decoded payload symbols + hints (after the
-	// missing prefix).
+	// missing prefix). Read-only: when both variants acquired the same
+	// reception, their outcomes share one slice.
 	Decisions []phy.Decision
 	// TruthSyms is the transmitted payload's true symbols.
 	TruthSyms []byte
@@ -364,15 +365,16 @@ func (o *Outcome) CorrectMask() []bool {
 	return mask
 }
 
-// Variant is one receiver configuration to evaluate over the same chips.
-type Variant struct {
-	// Name labels the variant in experiment output.
-	Name string
-	// UsePostamble enables postamble decoding.
-	UsePostamble bool
-	// Decoder despreads and produces hints; defaults to HardDecoder.
-	Decoder phy.Decoder
-}
+// Deliver scores every link under two receivers (Sec. 4, Sec. 7.2): the
+// status quo, which acquires a packet only through its preamble, and PPR's,
+// which also rolls back from the postamble. One receive pass yields both.
+const (
+	VariantNoPostamble = 0
+	VariantPostamble   = 1
+)
+
+// VariantNames labels the variants in experiment output, indexed by variant.
+var VariantNames = [...]string{"no postamble decoding", "postamble decoding"}
 
 // interferenceFloorDB: transmissions weaker than this below the noise floor
 // are dropped from synthesis (negligible interference), bounding window
@@ -447,37 +449,22 @@ func buildWindows(cfg Config, txs []*Transmission) []window {
 	return windows
 }
 
-// deliverState is one worker's reusable receiver machinery: a configured
-// Receiver per variant plus scratch slices, all recycled across the
-// windows the worker processes. frame.Receiver owns arena buffers that
-// back the Receptions it returns, so reusing receivers makes the whole
-// per-window decode allocation-free — the price is that deliverWindow must
-// copy the Decisions it keeps into each Outcome before the next window
-// overwrites the arena.
+// deliverState is one worker's reusable receiver machinery: a Receiver
+// plus scratch slices, all recycled across the windows the worker
+// processes. frame.Receiver owns arena buffers that back the Receptions it
+// returns, so reusing the receiver makes the whole per-window decode
+// allocation-free — the price is that deliverWindow must copy the
+// Decisions it keeps into each Outcome before the next window overwrites
+// the arena.
 type deliverState struct {
-	rxs      []*frame.Receiver
+	rx       *frame.Receiver
 	syncs    []frame.Sync
 	overlaps []radio.Overlap
 }
 
-// newDeliverState builds one worker's receivers from the variant list.
-func newDeliverState(variants []Variant) *deliverState {
-	st := &deliverState{rxs: make([]*frame.Receiver, len(variants))}
-	for vi, v := range variants {
-		dec := v.Decoder
-		if dec == nil {
-			dec = phy.HardDecoder{}
-		}
-		rx := frame.NewReceiver(dec)
-		rx.UsePostamble = v.UsePostamble
-		st.rxs[vi] = rx
-	}
-	return st
-}
-
-// deliverWindow synthesizes one window's chip stream and runs every variant's
-// receiver over it. rng must be dedicated to this window; st must be
-// dedicated to the calling worker.
+// deliverWindow synthesizes one window's chip stream, runs one receive pass
+// over it and scores both variants off that pass. rng must be dedicated to
+// this window; st must be dedicated to the calling worker.
 func deliverWindow(cfg Config, w window, st *deliverState, rng *stats.RNG) []Outcome {
 	tb := cfg.Testbed
 	noiseMW := radio.DBmToMW(tb.Params.NoiseFloorDBm)
@@ -491,65 +478,82 @@ func deliverWindow(cfg Config, w window, st *deliverState, rng *stats.RNG) []Out
 		})
 	}
 	// The synthesizer's packed output is the receiver's buffer directly —
-	// no repack between channel and sync scan. The scan is variant-
-	// independent: do it once per window.
+	// no repack between channel and sync scan.
 	buf := radio.SynthesizeFading(rng, w.length, st.overlaps, noiseMW, radio.DefaultCoherenceChips)
 	st.syncs = frame.AppendSyncs(st.syncs[:0], buf, frame.DefaultSyncMaxDist)
+	recs, preamble := st.rx.ReceiveSynced(buf, st.syncs)
 
 	var outcomes []Outcome
-	for vi, rx := range st.rxs {
-		recs := rx.ReceiveSynced(buf, st.syncs)
-		for _, m := range w.members {
-			tx := m.tx
-			if tb.GainDBm[tx.Src][w.receiver] < tb.Params.NoiseFloorDBm+ScoringMarginDB {
-				continue // interference-only pair, not a link
-			}
-			o := Outcome{
-				TxID: tx.ID, Src: tx.Src, Receiver: w.receiver, Variant: vi,
-				TruthSyms: tx.TruthSyms,
-			}
-			// Match the reception to this transmission by payload start chip
-			// and header identity; among duplicates keep the one that
-			// recovered the most. The reception count per window is tiny, so
-			// a linear scan beats building a map.
-			var best *frame.Reception
-			for ri := range recs {
-				rec := &recs[ri]
-				if !rec.HeaderOK || w.origin+int64(rec.PayloadStartChip) != tx.PayloadStartChip() {
-					continue
-				}
-				if best == nil || len(rec.Decisions) > len(best.Decisions) {
-					best = rec
-				}
-			}
-			if best != nil && best.Hdr.Src == tx.Frame.Hdr.Src && best.Hdr.Seq == tx.Frame.Hdr.Seq {
-				o.Acquired = true
-				o.Kind = best.Kind
-				o.CRCOK = best.CRCOK
-				o.MissingPrefix = best.MissingPrefix
-				// The reception's Decisions live in rx's arena and die at its
-				// next ReceiveSynced; the Outcome outlives that, so copy.
-				o.Decisions = append([]phy.Decision(nil), best.Decisions...)
-			}
-			outcomes = append(outcomes, o)
+	for _, m := range w.members {
+		tx := m.tx
+		if tb.GainDBm[tx.Src][w.receiver] < tb.Params.NoiseFloorDBm+ScoringMarginDB {
+			continue // interference-only pair, not a link
 		}
+		pre, post := matchReception(preamble, w.origin, tx), matchReception(recs, w.origin, tx)
+		lost := Outcome{TxID: tx.ID, Src: tx.Src, Receiver: w.receiver, TruthSyms: tx.TruthSyms}
+		o := lost
+		if pre != nil {
+			o.acquire(pre)
+		}
+		outcomes = append(outcomes, o)
+		// AppendSyncs reports each offset once, so a window holds at most
+		// one preamble reception per payload start and a preamble-kind
+		// match is pre itself: the postamble variant's outcome then
+		// differs only in Variant and shares the Decisions copy.
+		if pre == nil || post == nil || post.Kind != frame.SyncPreamble {
+			o = lost
+			if post != nil {
+				o.acquire(post)
+			}
+		}
+		o.Variant = VariantPostamble
+		outcomes = append(outcomes, o)
 	}
 	return outcomes
 }
 
-// Deliver synthesizes every receiver's chip stream window by window and
-// runs each variant's receiver over it, returning outcomes for every
-// (audible transmission, receiver, variant). A transmission audible at a
-// receiver with no matching reception yields an Outcome with
-// Acquired=false — those count against delivery rates exactly like the
-// paper's lost packets.
+// matchReception finds tx among a window's receptions by payload start
+// chip and header identity; among duplicates it keeps the one that
+// recovered the most. It returns nil when tx was not acquired. The
+// reception count per window is tiny, so a linear scan beats building a
+// map.
+func matchReception(recs []frame.Reception, origin int64, tx *Transmission) *frame.Reception {
+	var best *frame.Reception
+	for ri := range recs {
+		rec := &recs[ri]
+		if !rec.HeaderOK || origin+int64(rec.PayloadStartChip) != tx.PayloadStartChip() {
+			continue
+		}
+		if best == nil || len(rec.Decisions) > len(best.Decisions) {
+			best = rec
+		}
+	}
+	if best == nil || best.Hdr.Src != tx.Frame.Hdr.Src || best.Hdr.Seq != tx.Frame.Hdr.Seq {
+		return nil
+	}
+	return best
+}
+
+// acquire records rec as o's reception. rec's Decisions live in the
+// receiver's arena and die at its next ReceiveSynced; the Outcome outlives
+// that, so acquire copies them.
+func (o *Outcome) acquire(rec *frame.Reception) {
+	o.Acquired, o.Kind, o.CRCOK, o.MissingPrefix = true, rec.Kind, rec.CRCOK, rec.MissingPrefix
+	o.Decisions = append([]phy.Decision(nil), rec.Decisions...)
+}
+
+// Deliver synthesizes every receiver's chip stream window by window, runs
+// one receive pass over it and returns outcomes for every (audible
+// transmission, receiver, variant). A transmission audible at a receiver
+// with no matching reception yields an Outcome with Acquired=false — those
+// count against delivery rates exactly like the paper's lost packets.
 //
 // Windows execute on cfg.Workers goroutines; each window's randomness is
 // derived from (cfg.Seed, receiver, window origin), so the returned trace is
 // identical for every worker count. Outcomes are ordered by (receiver,
 // transmission, variant).
-func Deliver(cfg Config, txs []*Transmission, variants []Variant) []Outcome {
-	outs, _ := DeliverContext(context.Background(), cfg, txs, variants)
+func Deliver(cfg Config, txs []*Transmission) []Outcome {
+	outs, _ := DeliverContext(context.Background(), cfg, txs)
 	return outs
 }
 
@@ -558,81 +562,52 @@ func Deliver(cfg Config, txs []*Transmission, variants []Variant) []Outcome {
 // within one window's synthesis — with ctx.Err() and no goroutine left
 // behind. The partial trace is discarded; a nil error means the trace is
 // complete and identical to Deliver's.
-func DeliverContext(ctx context.Context, cfg Config, txs []*Transmission, variants []Variant) ([]Outcome, error) {
+func DeliverContext(ctx context.Context, cfg Config, txs []*Transmission) ([]Outcome, error) {
 	windows := buildWindows(cfg, txs)
 	base := stats.NewRNG(cfg.Seed ^ 0xdeadbeef)
-	windowRNG := func(w window) *stats.RNG {
-		return base.Derive(uint64(w.receiver), uint64(w.origin))
-	}
-	done := ctx.Done()
-	cancelled := func() bool {
-		select {
-		case <-done:
-			return true
-		default:
-			return false
-		}
-	}
 
-	var outcomes []Outcome
 	m := newDeliverMetrics()
 	var busy atomic.Int64
-	workers := cfg.workers()
-	if workers > len(windows) {
-		workers = len(windows)
-	}
-	if workers <= 1 {
-		st := newDeliverState(variants)
-		wo := m.worker(0, &busy)
-		for _, w := range windows {
-			if cancelled() {
-				return nil, ctx.Err()
-			}
-			wo.begin()
-			batch := deliverWindow(cfg, w, st, windowRNG(w))
-			wo.done(len(batch))
-			outcomes = append(outcomes, batch...)
-		}
-	} else {
-		jobs := make(chan window)
-		results := make(chan []Outcome, workers)
-		var wg sync.WaitGroup
-		for i := 0; i < workers; i++ {
-			wg.Add(1)
-			wo := m.worker(i, &busy)
-			go func() {
-				defer wg.Done()
-				st := newDeliverState(variants)
-				for w := range jobs {
-					wo.begin()
-					batch := deliverWindow(cfg, w, st, windowRNG(w))
-					wo.done(len(batch))
-					results <- batch
-				}
-			}()
-		}
+	workers := min(cfg.workers(), len(windows))
+	jobs := make(chan window)
+	results := make(chan []Outcome, workers)
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		wo := m.worker(i, &busy)
 		go func() {
-			// Stop feeding on cancellation; in-flight windows finish, then
-			// the pool drains and the collector unblocks.
-		feed:
-			for _, w := range windows {
-				select {
-				case jobs <- w:
-				case <-done:
-					break feed
-				}
+			defer wg.Done()
+			st := &deliverState{rx: frame.NewReceiver(phy.HardDecoder{})}
+			for w := range jobs {
+				wo.begin()
+				batch := deliverWindow(cfg, w, st, base.Derive(uint64(w.receiver), uint64(w.origin)))
+				wo.done(len(batch))
+				results <- batch
 			}
-			close(jobs)
-			wg.Wait()
-			close(results)
 		}()
-		// Collector: stream window batches into one trace as they complete.
-		for batch := range results {
-			outcomes = append(outcomes, batch...)
+	}
+	go func() {
+		// Stop feeding on cancellation; in-flight windows finish, then the
+		// pool drains and the collector unblocks.
+	feed:
+		for _, w := range windows {
+			select {
+			case jobs <- w:
+			case <-ctx.Done():
+				break feed
+			}
 		}
-		if cancelled() {
-			return nil, ctx.Err()
-		}
+		close(jobs)
+		wg.Wait()
+		close(results)
+	}()
+	// Collector: stream window batches into one trace as they complete.
+	var outcomes []Outcome
+	for batch := range results {
+		outcomes = append(outcomes, batch...)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	// Completion order is nondeterministic under parallelism; (receiver,
 	// transmission, variant) is unique per outcome, so sorting restores a
@@ -651,19 +626,19 @@ func DeliverContext(ctx context.Context, cfg Config, txs []*Transmission, varian
 }
 
 // Run is the convenience wrapper: schedule then deliver.
-func Run(cfg Config, variants []Variant) ([]*Transmission, []Outcome) {
+func Run(cfg Config) ([]*Transmission, []Outcome) {
 	txs := Schedule(cfg)
-	return txs, Deliver(cfg, txs, variants)
+	return txs, Deliver(cfg, txs)
 }
 
 // RunContext is Run with cancellation threaded through delivery; see
 // DeliverContext for the guarantees.
-func RunContext(ctx context.Context, cfg Config, variants []Variant) ([]*Transmission, []Outcome, error) {
+func RunContext(ctx context.Context, cfg Config) ([]*Transmission, []Outcome, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
 	txs := Schedule(cfg)
-	outs, err := DeliverContext(ctx, cfg, txs, variants)
+	outs, err := DeliverContext(ctx, cfg, txs)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -83,18 +83,11 @@ func TestCarrierSenseReducesOverlap(t *testing.T) {
 	t.Logf("overlap chips: CS on %d, CS off %d", on, off)
 }
 
-func variants() []Variant {
-	return []Variant{
-		{Name: "no-postamble", UsePostamble: false},
-		{Name: "postamble", UsePostamble: true},
-	}
-}
-
 func TestDeliverCleanSingleLink(t *testing.T) {
 	// One sender very close to one receiver, low load: everything should be
 	// acquired and decode perfectly.
 	cfg := smallCfg(3500, true, 13)
-	txs, outs := Run(cfg, variants())
+	txs, outs := Run(cfg)
 	if len(outs) == 0 {
 		t.Fatal("no outcomes")
 	}
@@ -102,7 +95,7 @@ func TestDeliverCleanSingleLink(t *testing.T) {
 	tb := cfg.Testbed
 	strongOK, strongTotal := 0, 0
 	for _, o := range outs {
-		if o.Variant != 1 {
+		if o.Variant != VariantPostamble {
 			continue
 		}
 		snr := tb.GainDBm[o.Src][o.Receiver] - tb.Params.NoiseFloorDBm
@@ -126,8 +119,8 @@ func TestDeliverCleanSingleLink(t *testing.T) {
 
 func TestDeliverPostambleNeverWorse(t *testing.T) {
 	cfg := smallCfg(13800, false, 17)
-	_, outs := Run(cfg, variants())
-	acq := map[int]map[int]int{0: {}, 1: {}} // variant → txid*8+receiver → acquired
+	_, outs := Run(cfg)
+	acq := map[int]map[int]int{VariantNoPostamble: {}, VariantPostamble: {}} // variant → txid*8+receiver → acquired
 	for _, o := range outs {
 		if o.Acquired {
 			acq[o.Variant][o.TxID*8+o.Receiver] = 1
@@ -135,17 +128,17 @@ func TestDeliverPostambleNeverWorse(t *testing.T) {
 	}
 	// Postamble acquisition is a superset in expectation; allow tiny losses
 	// from dedup edge cases but require a clear net win at high load.
-	gain := len(acq[1]) - len(acq[0])
+	gain := len(acq[VariantPostamble]) - len(acq[VariantNoPostamble])
 	if gain <= 0 {
 		t.Errorf("postamble decoding acquired %d vs %d without; expected more",
-			len(acq[1]), len(acq[0]))
+			len(acq[VariantPostamble]), len(acq[VariantNoPostamble]))
 	}
-	t.Logf("acquisitions: no-postamble %d, postamble %d", len(acq[0]), len(acq[1]))
+	t.Logf("acquisitions: no-postamble %d, postamble %d", len(acq[VariantNoPostamble]), len(acq[VariantPostamble]))
 }
 
 func TestOutcomeCorrectnessAgainstTruth(t *testing.T) {
 	cfg := smallCfg(6900, false, 19)
-	_, outs := Run(cfg, variants())
+	_, outs := Run(cfg)
 	sawCorrect, sawIncorrect := false, false
 	for _, o := range outs {
 		if !o.Acquired {
@@ -181,10 +174,10 @@ func TestHintsSeparateCorrectFromIncorrect(t *testing.T) {
 	// The Fig. 3 property, end to end through the simulator: correct
 	// symbols carry low hints, incorrect ones high hints.
 	cfg := smallCfg(13800, false, 23)
-	_, outs := Run(cfg, variants())
+	_, outs := Run(cfg)
 	var correctHints, incorrectHints []float64
 	for _, o := range outs {
-		if !o.Acquired || o.Variant != 1 {
+		if !o.Acquired || o.Variant != VariantPostamble {
 			continue
 		}
 		for i, d := range o.Decisions {
@@ -223,10 +216,10 @@ func TestHintsSeparateCorrectFromIncorrect(t *testing.T) {
 
 func TestPostambleOutcomesHaveKind(t *testing.T) {
 	cfg := smallCfg(13800, false, 29)
-	_, outs := Run(cfg, variants())
+	_, outs := Run(cfg)
 	post := 0
 	for _, o := range outs {
-		if o.Acquired && o.Variant == 1 && o.Kind == frame.SyncPostamble {
+		if o.Acquired && o.Variant == VariantPostamble && o.Kind == frame.SyncPostamble {
 			post++
 		}
 	}

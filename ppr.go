@@ -172,10 +172,8 @@ type (
 	// Transmission is one scheduled packet on the air.
 	Transmission = sim.Transmission
 	// Outcome is the receiver pipeline's result for one transmission at
-	// one receiver under one variant.
+	// one receiver, without or with postamble decoding (Outcome.Variant).
 	Outcome = sim.Outcome
-	// SimVariant selects a receiver configuration to evaluate.
-	SimVariant = sim.Variant
 	// Scenario assigns each simulated sender a traffic model or a jam
 	// strategy; plug one into SimConfig.Scenario.
 	Scenario = scenario.Scenario
@@ -191,11 +189,11 @@ func NewTestbed(params ChannelParams, seed uint64) *Testbed {
 }
 
 // RunSim schedules traffic and delivers it through every receiver,
-// returning the transmissions and per-variant outcomes. Delivery runs on
-// cfg.Workers goroutines (0 = all cores) with results independent of the
-// worker count.
-func RunSim(cfg SimConfig, variants []SimVariant) ([]*Transmission, []Outcome) {
-	return sim.Run(cfg, variants)
+// returning the transmissions and the outcomes of both receiver variants.
+// Delivery runs on cfg.Workers goroutines (0 = all cores) with results
+// independent of the worker count.
+func RunSim(cfg SimConfig) ([]*Transmission, []Outcome) {
+	return sim.Run(cfg)
 }
 
 // PeriodicJammerScenario returns Poisson traffic with sender 0 replaced by

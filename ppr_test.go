@@ -118,7 +118,7 @@ func TestPublicTestbedAndSim(t *testing.T) {
 		Testbed: tb, OfferedBps: 6900, PacketBytes: 150,
 		DurationSec: 1.5, CarrierSense: false, Seed: 5,
 	}
-	txs, outs := RunSim(cfg, []SimVariant{{Name: "pa", UsePostamble: true}})
+	txs, outs := RunSim(cfg)
 	if len(txs) == 0 || len(outs) == 0 {
 		t.Fatalf("sim produced %d txs, %d outcomes", len(txs), len(outs))
 	}
@@ -189,7 +189,7 @@ func TestPublicScenariosAndEngine(t *testing.T) {
 		DurationSec: 1.5, CarrierSense: true, Seed: 5,
 		Scenario: PeriodicJammerScenario(), Workers: 1,
 	}
-	txs, outs1 := RunSim(cfg, []SimVariant{{Name: "pa", UsePostamble: true}})
+	txs, outs1 := RunSim(cfg)
 	jams := 0
 	for _, tx := range txs {
 		if tx.Src == 0 {
@@ -200,7 +200,7 @@ func TestPublicScenariosAndEngine(t *testing.T) {
 		t.Error("jammer scenario produced no jam bursts")
 	}
 	cfg.Workers = 4
-	_, outs4 := RunSim(cfg, []SimVariant{{Name: "pa", UsePostamble: true}})
+	_, outs4 := RunSim(cfg)
 	if len(outs1) != len(outs4) {
 		t.Fatalf("worker count changed outcome count: %d vs %d", len(outs1), len(outs4))
 	}
