@@ -315,20 +315,22 @@ func BenchmarkTraceCache(b *testing.B) {
 }
 
 // BenchmarkSchemePostProcess times one registered scheme's post-processing
-// pass over a shared high-load trace, masks precomputed — the marginal cost
-// of one figure curve, per scheme (the FEC family's trellis work shows up
-// here: one metric-only fec.Repairs pass per damaged block, see
-// BenchmarkBlockRepaired; the clean-block fast path keeps it proportional
-// to damage).
+// pass over a shared high-load trace, error patterns precomputed (they stay
+// cached on the Trace) — the marginal cost of one figure curve, per scheme
+// (the FEC family's trellis work shows up here: one metric-only fec.Repairs
+// pass per damaged block, see BenchmarkBlockRepaired; clean blocks answer
+// before the trellis, so it is proportional to damage). Each iteration
+// takes a fresh Post, whose score memo is empty, so it times scoring, not
+// a memo lookup.
 func BenchmarkSchemePostProcess(b *testing.B) {
 	o := experiments.Options{Seed: 1, Quick: true}
 	tr := o.Trace(experiments.LoadHigh, false)
-	pp := tr.Post(0)
+	tr.Post(0)
 	p := experiments.DefaultSchemeParams()
 	for _, s := range schemes.All() {
 		b.Run(schemes.Slug(s.Name()), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				acc := pp.PerLinkDelivery(sim.VariantPostamble, s, p)
+				acc := tr.Post(0).PerLinkDelivery(sim.VariantPostamble, s, p)
 				if len(acc) == 0 {
 					b.Fatal("no links")
 				}
@@ -338,8 +340,9 @@ func BenchmarkSchemePostProcess(b *testing.B) {
 }
 
 // BenchmarkPostProcessWorkers measures figure post-processing sequential vs
-// parallel over the same trace; TestPerLinkDeliveryWorkerInvariant proves
-// both produce identical accumulators, so the ratio is pure speedup.
+// parallel over the same trace, a fresh Post (empty score memo) per
+// iteration; TestPerLinkDeliveryWorkerInvariant proves both produce
+// identical accumulators, so the ratio is pure speedup.
 func BenchmarkPostProcessWorkers(b *testing.B) {
 	o := experiments.Options{Seed: 1, Quick: true}
 	tr := o.Trace(experiments.LoadHigh, false)
@@ -352,8 +355,8 @@ func BenchmarkPostProcessWorkers(b *testing.B) {
 		{"parallel", runtime.NumCPU()},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			pp := tr.Post(bc.workers)
 			for i := 0; i < b.N; i++ {
+				pp := tr.Post(bc.workers)
 				for _, s := range schemes.All() {
 					if acc := pp.PerLinkDelivery(sim.VariantPostamble, s, p); len(acc) == 0 {
 						b.Fatal("no links")
@@ -639,11 +642,13 @@ func BenchmarkFindSyncs(b *testing.B) {
 // scattered errors plus a 12-bit burst — the flagged blocks the schemes
 // actually decode): "decode" runs the full soft-output fec.Decode and
 // tests its bits for zero, "repairs" the metric-only fec.Repairs that
-// schemes use. TestRepairsMatchesDecodeRandom proves the same answers.
+// schemes use, on the blocks packed once outside the timed loop.
+// TestRepairsMatchesDecodeRandom proves the same answers.
 func BenchmarkBlockRepaired(b *testing.B) {
 	rng := stats.NewRNG(25)
 	n := fec.EncodedLen(schemes.DefaultFECDataBytes * 8)
 	blocks := make([][]byte, 64)
+	packed := make([]*bitutil.ChipWords, len(blocks))
 	for i := range blocks {
 		blk := make([]byte, n)
 		for j := range blk {
@@ -656,6 +661,7 @@ func BenchmarkBlockRepaired(b *testing.B) {
 			blk[j] = byte(rng.Intn(2))
 		}
 		blocks[i] = blk
+		packed[i] = bitutil.PackChipBytes(blk)
 	}
 	var repaired int
 	b.Run("decode", func(b *testing.B) {
@@ -673,7 +679,7 @@ func BenchmarkBlockRepaired(b *testing.B) {
 	b.Run("repairs", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if fec.Repairs(blocks[i%len(blocks)]) {
+			if fec.Repairs(packed[i%len(packed)], 0, n) {
 				repaired++
 			}
 		}

@@ -116,6 +116,42 @@ func (w *ChipWords) Word64(off int) uint64 {
 	return v
 }
 
+// Peek64 is Word64 for readers that stop at the stream's end on their own:
+// the window may run past Len(), and chips at or past Len() read as
+// unspecified values. A trellis walking a block two chips at a time loads
+// one window per 32 steps with no end-of-stream case.
+func (w *ChipWords) Peek64(off int) uint64 {
+	if off < 0 || off >= w.n {
+		panic(fmt.Sprintf("bitutil: Peek64(%d) out of range for %d chips", off, w.n))
+	}
+	return w.run64(off, 64)
+}
+
+// NextSet returns the first 1 chip in [lo, hi), or hi when there is none:
+// one masked word test per 64 chips, so scanning an error pattern costs
+// time in proportion to its words and its errors, not its chips.
+func (w *ChipWords) NextSet(lo, hi int) int {
+	if lo < 0 || hi > w.n || lo > hi {
+		panic(fmt.Sprintf("bitutil: NextSet(%d, %d) out of range for %d chips", lo, hi, w.n))
+	}
+	if lo == hi {
+		return hi
+	}
+	wi, last := lo/64, (hi-1)/64
+	v := w.words[wi] & (^uint64(0) >> uint(lo%64))
+	for wi < last && v == 0 {
+		wi++
+		v = w.words[wi]
+	}
+	if wi == last {
+		v &= ^uint64(0) << uint(63-(hi-1)%64)
+		if v == 0 {
+			return hi
+		}
+	}
+	return wi*64 + bits.LeadingZeros64(v)
+}
+
 // run64 extracts width (≤ 64) chips starting at off, left-aligned: the
 // first chip of the run at bit 63. Bits past the run are unspecified;
 // depositors mask them.

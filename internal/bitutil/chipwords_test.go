@@ -190,6 +190,42 @@ func TestChipWordsClone(t *testing.T) {
 	}
 }
 
+// refNextSet is the byte-slice reference for NextSet.
+func refNextSet(chips []byte, lo, hi int) int {
+	for lo < hi && chips[lo] == 0 {
+		lo++
+	}
+	return lo
+}
+
+// TestChipWordsNextSetAndPeek64 checks NextSet on every range of sparse
+// and dense streams, with ones at word edges, and Peek64 at every offset,
+// including windows that run past the stream's end.
+func TestChipWordsNextSetAndPeek64(t *testing.T) {
+	sparse := make([]byte, 200)
+	for _, i := range []int{0, 63, 64, 127, 150, 199} {
+		sparse[i] = 1
+	}
+	for _, chips := range [][]byte{sparse, patternBytes(200, 9), make([]byte, 130)} {
+		w := PackChipBytes(chips)
+		for lo := 0; lo <= len(chips); lo++ {
+			for hi := lo; hi <= len(chips); hi++ {
+				if got, want := w.NextSet(lo, hi), refNextSet(chips, lo, hi); got != want {
+					t.Fatalf("NextSet(%d, %d) = %d, want %d", lo, hi, got, want)
+				}
+			}
+		}
+		for off := 0; off < len(chips); off++ {
+			got := w.Peek64(off)
+			for i := 0; i < 64 && off+i < len(chips); i++ {
+				if byte(got>>uint(63-i)&1) != chips[off+i] {
+					t.Fatalf("Peek64(%d) chip %d mismatch", off, i)
+				}
+			}
+		}
+	}
+}
+
 func TestChipWordsPanics(t *testing.T) {
 	w := NewChipWords(64)
 	for name, fn := range map[string]func(){
@@ -200,6 +236,9 @@ func TestChipWordsPanics(t *testing.T) {
 		"fill-oob":     func() { w.FillUniform(0, 65, func() uint64 { return 0 }) },
 		"xor-mismatch": func() { w.XORWith(NewChipWords(63)) },
 		"slice-oob":    func() { w.Slice(10, 65) },
+		"nextset-oob":  func() { w.NextSet(0, 65) },
+		"nextset-rev":  func() { w.NextSet(5, 4) },
+		"peek64-oob":   func() { w.Peek64(64) },
 	} {
 		func() {
 			defer func() {
@@ -213,8 +252,8 @@ func TestChipWordsPanics(t *testing.T) {
 }
 
 // FuzzChipWords drives the packed type against the byte-slice reference:
-// pack/unpack, Word32 at every offset, an arbitrary CopyFrom, an XOR apply
-// and OnesCount must all agree with the naive byte implementation.
+// pack/unpack, Word32 at every offset, NextSet over an arbitrary range, an
+// arbitrary CopyFrom, an XOR apply and OnesCount must all agree with the naive byte implementation.
 func FuzzChipWords(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 1}, []byte{0, 1}, uint16(0), uint16(0), uint16(2))
 	f.Add(make([]byte, 200), make([]byte, 130), uint16(40), uint16(3), uint16(100))
@@ -235,6 +274,12 @@ func FuzzChipWords(f *testing.F) {
 		for off := 0; off+32 <= len(dst); off++ {
 			if dw.Word32(off) != refWord32(dst, off) {
 				t.Fatalf("Word32(%d) mismatch", off)
+			}
+		}
+		// NextSet over a fuzzed range against the byte scan.
+		if lo, hi := int(dstOff), int(dstOff)+int(cnt); hi <= len(dst) {
+			if got, want := dw.NextSet(lo, hi), refNextSet(dst, lo, hi); got != want {
+				t.Fatalf("NextSet(%d, %d) = %d, want %d", lo, hi, got, want)
 			}
 		}
 		// Bounded CopyFrom against the byte copy.

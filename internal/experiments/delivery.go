@@ -35,8 +35,8 @@ type DeliveryFigure struct {
 }
 
 // deliveryFigure post-processes one operating point's shared trace under
-// every selected scheme/variant combination, sharing one set of
-// correctness masks across all of them.
+// every selected scheme/variant combination, sharing one set of error
+// patterns across all of them.
 func deliveryFigure(o Options, name string, offeredBps float64, carrierSense bool) DeliveryFigure {
 	fig, err := deliveryFigureCtx(context.Background(), o, name, offeredBps, carrierSense)
 	must(err)

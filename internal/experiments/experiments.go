@@ -32,6 +32,7 @@ import (
 	"sync"
 	"time"
 
+	"ppr/internal/bitutil"
 	"ppr/internal/obs"
 	"ppr/internal/radio"
 	"ppr/internal/scenario"
@@ -199,21 +200,11 @@ func (a LinkAccum) Rate() float64 {
 	return float64(a.DeliveredBytes) / float64(a.SentBytes)
 }
 
-// PerLinkDelivery post-processes a trace under one scheme for one variant
-// index, returning per-link accumulators. Only links audible in the
-// deployment appear (the trace only contains audible outcomes). It is the
-// one-off convenience wrapper over NewPost; figure code goes through
-// Trace.Post so correctness masks are computed once and shared across every
-// scheme and variant.
-func PerLinkDelivery(outs []sim.Outcome, variant int, s schemes.RecoveryScheme, p SchemeParams, payloadBytes int) map[LinkKey]LinkAccum {
-	return NewPost(outs, payloadBytes, 0).PerLinkDelivery(variant, s, p)
-}
-
 // fanOut splits [0, n) into contiguous shards over at most workers
-// goroutines (0 means all cores) and waits for fn on each; shard indexes
-// are dense in [0, nShards). It is the same bounded fan-out Deliver uses
-// for (receiver, window) units, applied to post-processing.
-func fanOut(n, workers int, fn func(shard, lo, hi int)) (nShards int) {
+// goroutines (0 means all cores) and waits for fn on each. It is the same
+// bounded fan-out Deliver uses for (receiver, window) units, applied to
+// post-processing.
+func fanOut(n, workers int, fn func(lo, hi int)) {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
@@ -222,10 +213,9 @@ func fanOut(n, workers int, fn func(shard, lo, hi int)) (nShards int) {
 	}
 	if workers <= 1 {
 		if n > 0 {
-			fn(0, 0, n)
-			return 1
+			fn(0, n)
 		}
-		return 0
+		return
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
@@ -234,95 +224,129 @@ func fanOut(n, workers int, fn func(shard, lo, hi int)) (nShards int) {
 			continue
 		}
 		wg.Add(1)
-		go func(shard, lo, hi int) {
+		go func(lo, hi int) {
 			defer wg.Done()
-			fn(shard, lo, hi)
-		}(i, lo, hi)
+			fn(lo, hi)
+		}(lo, hi)
 	}
 	wg.Wait()
-	return workers
 }
 
-// Masks computes every acquired outcome's CorrectMask over a bounded worker
-// pool, index-aligned with outs (unacquired outcomes get nil — no scheme
-// scores them). This is the shared-mask optimization: the seed recomputed
-// the mask inside DeliveredAppBytes, once per outcome per curve, so a
-// six-curve figure paid for ground-truth comparison six times.
-func Masks(outs []sim.Outcome, workers int) [][]bool {
-	masks := make([][]bool, len(outs))
-	fanOut(len(outs), workers, func(_, lo, hi int) {
+// ErrorPatterns computes every acquired outcome's ErrorPattern over a
+// bounded worker pool, index-aligned with outs (unacquired outcomes get nil
+// — no scheme scores them); an outcome that shares its predecessor's
+// reception shares its pattern. The seed recomputed correctness once per
+// outcome per curve, so a six-curve figure paid for it six times.
+func ErrorPatterns(outs []sim.Outcome, workers int) []*bitutil.ChipWords {
+	pats := make([]*bitutil.ChipWords, len(outs))
+	fanOut(len(outs), workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			if outs[i].Acquired {
-				masks[i] = outs[i].CorrectMask()
+			switch {
+			case !outs[i].Acquired:
+			case i > lo && sameReception(&outs[i-1], &outs[i]):
+				pats[i] = pats[i-1]
+			default:
+				pats[i] = outs[i].ErrorPattern()
 			}
 		}
 	})
-	return masks
+	return pats
+}
+
+// sameReception reports whether b is a second view of a's reception, as
+// sim.Deliver makes a postamble outcome that acquired the no-postamble
+// outcome's reception: it then scores identically under every scheme.
+func sameReception(a, b *sim.Outcome) bool {
+	return a.Acquired && b.Acquired && a.TxID == b.TxID && a.Receiver == b.Receiver &&
+		len(a.Decisions) == len(b.Decisions) &&
+		(len(a.Decisions) == 0 || &a.Decisions[0] == &b.Decisions[0]) &&
+		a.MissingPrefix == b.MissingPrefix && a.Kind == b.Kind && a.CRCOK == b.CRCOK
 }
 
 // Post is a post-processor bound to one outcome trace: it owns the shared
-// per-outcome correctness masks and the worker budget scheme scoring fans
-// out over. Safe for concurrent use once constructed (all fields are
-// read-only).
+// per-outcome error patterns, the worker budget scheme scoring fans out
+// over, and a memo of each (scheme, Params) pair's per-outcome scores.
+// Safe for concurrent use.
 type Post struct {
 	outs         []sim.Outcome
-	masks        [][]bool
+	pats         []*bitutil.ChipWords
 	payloadBytes int
 	workers      int
+
+	memos sync.Map // scoreKey → *scoreMemo
 }
 
-// NewPost builds a post-processor over outs, computing the correctness
-// masks once. workers bounds the fan-out (0 = all cores); results do not
-// depend on it.
+// scoreKey identifies one scoring of a trace: the scheme's registry slug
+// and its parameters.
+type scoreKey struct {
+	slug string
+	p    SchemeParams
+}
+
+// scoreMemo holds one scoring's delivered bytes per outcome, filled once.
+type scoreMemo struct {
+	once      sync.Once
+	delivered []int
+}
+
+// NewPost builds a post-processor over outs, computing the error patterns
+// once. workers bounds the fan-out (0 = all cores); results do not depend
+// on it.
 func NewPost(outs []sim.Outcome, payloadBytes, workers int) *Post {
 	return &Post{
 		outs:         outs,
-		masks:        Masks(outs, workers),
+		pats:         ErrorPatterns(outs, workers),
 		payloadBytes: payloadBytes,
 		workers:      workers,
 	}
 }
 
-// PerLinkDelivery scores every outcome of one variant under the scheme,
-// fanning the trace out over the bounded worker pool and merging the
-// shard-local accumulators. Accumulation is integer sums, so the result is
-// identical for every worker count.
-func (pp *Post) PerLinkDelivery(variant int, s schemes.RecoveryScheme, p SchemeParams) map[LinkKey]LinkAccum {
-	appPerPkt := s.AppBytesPerPacket(p, pp.payloadBytes)
-	maxShards := pp.workers
-	if maxShards <= 0 {
-		maxShards = runtime.NumCPU()
-	}
-	partial := make([]map[LinkKey]LinkAccum, maxShards)
-	nShards := fanOut(len(pp.outs), pp.workers, func(shard, lo, hi int) {
-		acc := map[LinkKey]LinkAccum{}
-		for i := lo; i < hi; i++ {
-			o := &pp.outs[i]
-			if o.Variant != variant {
-				continue
+// scores returns every outcome's delivered bytes under the scheme, scoring
+// the trace over the bounded worker pool on the first call for either
+// variant; an outcome that shares its predecessor's reception copies its
+// score.
+func (pp *Post) scores(s schemes.RecoveryScheme, p SchemeParams) []int {
+	v, _ := pp.memos.LoadOrStore(scoreKey{slug: schemes.Slug(s.Name()), p: p}, &scoreMemo{})
+	m := v.(*scoreMemo)
+	m.once.Do(func() {
+		m.delivered = make([]int, len(pp.outs))
+		fanOut(len(pp.outs), pp.workers, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				o := &pp.outs[i]
+				switch {
+				case !o.Acquired:
+				case i > lo && sameReception(&pp.outs[i-1], o):
+					m.delivered[i] = m.delivered[i-1]
+				default:
+					m.delivered[i] = s.DeliveredAppBytes(pp.pats[i], o, p, pp.payloadBytes)
+				}
 			}
-			k := LinkKey{Src: o.Src, Rcv: o.Receiver}
-			a := acc[k]
-			a.Packets++
-			a.SentBytes += appPerPkt
-			if o.Acquired {
-				a.DeliveredBytes += s.DeliveredAppBytes(pp.masks[i], o, p, pp.payloadBytes)
-			}
-			acc[k] = a
-		}
-		partial[shard] = acc
+		})
 	})
-	merged := map[LinkKey]LinkAccum{}
-	for shard := 0; shard < nShards; shard++ {
-		for k, a := range partial[shard] {
-			m := merged[k]
-			m.Packets += a.Packets
-			m.SentBytes += a.SentBytes
-			m.DeliveredBytes += a.DeliveredBytes
-			merged[k] = m
+	return m.delivered
+}
+
+// PerLinkDelivery accumulates every outcome of one variant under the
+// scheme into per-link totals. Scores come from the memo, so the two
+// variants of one scheme score the trace once. Accumulation is integer
+// sums, so the result is identical for every worker count.
+func (pp *Post) PerLinkDelivery(variant int, s schemes.RecoveryScheme, p SchemeParams) map[LinkKey]LinkAccum {
+	delivered := pp.scores(s, p)
+	appPerPkt := s.AppBytesPerPacket(p, pp.payloadBytes)
+	acc := map[LinkKey]LinkAccum{}
+	for i := range pp.outs {
+		o := &pp.outs[i]
+		if o.Variant != variant {
+			continue
 		}
+		k := LinkKey{Src: o.Src, Rcv: o.Receiver}
+		a := acc[k]
+		a.Packets++
+		a.SentBytes += appPerPkt
+		a.DeliveredBytes += delivered[i]
+		acc[k] = a
 	}
-	return merged
+	return acc
 }
 
 // Rates flattens per-link accumulators to a rate sample per link.
@@ -355,21 +379,22 @@ type Trace struct {
 	// Outs is the per-(transmission, receiver, variant) outcome trace.
 	Outs []sim.Outcome
 
-	// maskOnce guards masks: the per-outcome correctness masks are built on
+	// patOnce guards pats: the per-outcome error patterns are built on
 	// first use and shared by every figure post-processing the trace.
-	maskOnce sync.Once
-	masks    [][]bool
+	patOnce sync.Once
+	pats    []*bitutil.ChipWords
 }
 
-// Post returns a post-processor over the trace's outcomes. The correctness
-// masks are computed once per trace — however many schemes, variants and
-// figures score it — and workers bounds each call's delivery fan-out (0 =
-// all cores; results do not depend on it).
+// Post returns a post-processor over the trace's outcomes. The error
+// patterns are computed once per trace — however many schemes, variants
+// and figures score it — and workers bounds each call's scoring fan-out
+// (0 = all cores; results do not depend on it). Scores are memoized per
+// returned Post.
 func (tr *Trace) Post(workers int) *Post {
-	tr.maskOnce.Do(func() { tr.masks = Masks(tr.Outs, workers) })
+	tr.patOnce.Do(func() { tr.pats = ErrorPatterns(tr.Outs, workers) })
 	return &Post{
 		outs:         tr.Outs,
-		masks:        tr.masks,
+		pats:         tr.pats,
 		payloadBytes: tr.Cfg.PacketBytes,
 		workers:      workers,
 	}

@@ -195,7 +195,7 @@ func fig17Ctx(ctx context.Context, o Options) (Fig17Result, error) {
 		}
 	}
 	runs := make([]netsim.Result, len(cells))
-	fanOut(len(cells), o.Workers, func(_, lo, hi int) {
+	fanOut(len(cells), o.Workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			// Each closed-loop cell is a cancellation unit: once ctx is
 			// done, remaining cells are skipped and the in-flight ones

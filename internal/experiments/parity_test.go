@@ -40,6 +40,20 @@ func (s legacyScheme) String() string {
 	}
 }
 
+// legacyCorrectMask is the seed's sim.Outcome.CorrectMask verbatim:
+// per-symbol correctness over the whole payload, missing prefix symbols
+// incorrect by definition.
+func legacyCorrectMask(o *sim.Outcome) []bool {
+	mask := make([]bool, len(o.TruthSyms))
+	for i, d := range o.Decisions {
+		idx := o.MissingPrefix + i
+		if idx < len(mask) {
+			mask[idx] = d.Symbol == o.TruthSyms[idx]
+		}
+	}
+	return mask
+}
+
 // legacyDeliveredAppBytes is the seed's DeliveredAppBytes verbatim (modulo
 // the documented PPR rounding fix), mask recomputed per call exactly as the
 // seed did.
@@ -47,7 +61,7 @@ func legacyDeliveredAppBytes(o *sim.Outcome, s legacyScheme, p SchemeParams, pay
 	if !o.Acquired {
 		return 0
 	}
-	mask := o.CorrectMask()
+	mask := legacyCorrectMask(o)
 	switch s {
 	case legacyPacketCRC:
 		for _, ok := range mask {

@@ -192,7 +192,7 @@ func resilienceCtx(ctx context.Context, o Options) (ResilienceResult, error) {
 		}
 	}
 	runs := make([]netsim.Result, len(cells))
-	fanOut(len(cells), o.Workers, func(_, lo, hi int) {
+	fanOut(len(cells), o.Workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if ctx.Err() != nil {
 				return

@@ -24,6 +24,7 @@ import (
 	"math"
 	"math/bits"
 
+	"ppr/internal/bitutil"
 	"ppr/internal/phy"
 )
 
@@ -93,38 +94,20 @@ type Result struct {
 	Reliability []float64
 }
 
-// branchMetrics[rx][o] is the Hamming distance between a received 2-bit
-// branch symbol rx and a candidate output symbol o, precomputed so the ACS
-// recursion is pure table lookups.
-var branchMetrics [4][4]int32
-
-func init() {
-	for rx := 0; rx < 4; rx++ {
-		for o := 0; o < 4; o++ {
-			branchMetrics[rx][o] = int32(bits.OnesCount8(byte(rx^o) & 0b11))
-		}
-	}
-}
-
-// butterflyOut[j] is the coded output for the transition predecessor-2j →
-// successor-j (input bit 0). Both generators have their input-bit and
-// oldest-bit taps set (g0, g1 are odd and ≥ 2^(K-1)), so flipping either
-// the input bit or the predecessor's low bit complements BOTH coded bits:
-// the other three branch metrics of the butterfly {2j, 2j+1} → {j, j+32}
-// are bm[o^0b11] = 2 − bm[o]. One table lookup serves all four branches.
-var butterflyOut [numStates / 2]byte
-
-// butterflyBM[rx][j] = branchMetrics[rx][butterflyOut[j]], flattening the
-// two dependent lookups of the steady-state ACS into one.
+// butterflyBM[rx][j] is the Hamming distance between a received 2-bit
+// branch symbol rx and the coded output of the transition predecessor-2j →
+// successor-j (input bit 0), so the ACS recursion is pure table lookups.
+// Both generators have their input-bit and oldest-bit taps set (g0, g1 are
+// odd and ≥ 2^(K-1)), so flipping either the input bit or the
+// predecessor's low bit complements BOTH coded bits: the other three
+// branch metrics of the butterfly {2j, 2j+1} → {j, j+32} are
+// 2 − butterflyBM[rx][j]. One table lookup serves all four branches.
 var butterflyBM [4][numStates / 2]int32
 
 func init() {
-	for j := 0; j < numStates/2; j++ {
-		butterflyOut[j] = outputs[2*j][0]
-	}
 	for rx := 0; rx < 4; rx++ {
 		for j := 0; j < numStates/2; j++ {
-			butterflyBM[rx][j] = branchMetrics[rx][butterflyOut[j]]
+			butterflyBM[rx][j] = int32(bits.OnesCount8(byte(rx) ^ outputs[2*j][0]))
 		}
 	}
 }
@@ -164,32 +147,16 @@ func Decode(coded []byte) (Result, error) {
 	survivors := make([]uint64, nBranches)
 	deltas := make([]int32, nBranches*numStates)
 
-	// Warm-up: before step K−1 no p1 predecessor is reachable (see
-	// Repairs), so each state extends its p0 path or stays unreachable, and
-	// the survivor bit stays 0. The margin against the unreachable
-	// competitor is inf − metric: larger than any steady-state margin, so
+	// Successors j and j+32 share predecessors {2j, 2j+1}, and their four
+	// branch metrics are a and 2−a for a single table value a (see
+	// butterflyBM) — one lookup, two metric loads, two compares per
+	// butterfly. The butterflies serve the K−1 warm-up steps too: there
+	// every odd state (a p1 predecessor) is still unreachable, its metric
+	// at least inf, so each state extends its p0 path with survivor bit 0
+	// or stays unreachable. The margin against an unreachable competitor
+	// is at least inf − metric: larger than any steady-state margin, so
 	// every reliability window (which reaches step K−1) ignores it.
-	for t := 0; t < K-1; t++ {
-		bm := &branchMetrics[(coded[t*Rate]<<1|coded[t*Rate+1])&0b11]
-		dl := (*[numStates]int32)(deltas[t*numStates:])
-		for ns := 0; ns < numStates; ns++ {
-			p0 := (ns << 1) & (numStates - 1)
-			if m := metric[p0]; m < inf {
-				next[ns] = m + bm[outputs[p0][ns>>(K-2)]]
-				dl[ns] = inf - next[ns]
-			} else {
-				next[ns] = inf
-			}
-		}
-		metric, next = next, metric
-	}
-
-	// Steady state: every state is reachable, so the ACS collapses to pure
-	// butterflies. Successors j and j+32 share predecessors {2j, 2j+1}, and
-	// their four branch metrics are a and 2−a for a single table value a
-	// (see butterflyOut) — one lookup, two metric loads, two compares per
-	// butterfly.
-	for t := K - 1; t < nBranches; t++ {
+	for t := 0; t < nBranches; t++ {
 		bm := &butterflyBM[(coded[t*Rate]<<1|coded[t*Rate+1])&0b11]
 		dl := (*[numStates]int32)(deltas[t*numStates:])
 		var sur uint64
@@ -267,11 +234,43 @@ func Decode(coded []byte) (Result, error) {
 	return res, nil
 }
 
-// Repairs reports whether hard-decision Viterbi decoding of coded yields
-// all-zero data: exactly err == nil && every bit of Decode(coded).Bits is 0,
-// computed from path metrics alone. Decoding an error pattern through the
-// linear code asks whether the decoder repaired it, and that is all the
-// FEC recovery schemes need.
+// cleanMetrics[t] is the path-metric vector after t error-free steps from
+// the trellis start, up to the step where it stops changing (a fixed point
+// of the error-free ACS): Repairs starts a damaged block at its first error
+// from cleanMetrics[min(t, len−1)] instead of replaying the clean prefix.
+var cleanMetrics [][numStates]int32
+
+func init() {
+	var m [numStates]int32
+	for s := 1; s < numStates; s++ {
+		m[s] = math.MaxInt32 / 2 // trellis starts in state 0
+	}
+	for len(cleanMetrics) == 0 || m != cleanMetrics[len(cleanMetrics)-1] {
+		cleanMetrics = append(cleanMetrics, m)
+		acsStep(&m, &cleanMetrics[len(cleanMetrics)-1], 0)
+	}
+}
+
+// acsStep writes into next the path metrics after one of Decode's
+// butterfly ACS steps on the received branch symbol rx, keeping only the
+// metrics; like Decode, it serves the K−1 warm-up steps too.
+func acsStep(next, metric *[numStates]int32, rx uint64) {
+	bm := &butterflyBM[rx&0b11]
+	for j := 0; j < numStates/2; j++ {
+		m0, m1 := metric[2*j], metric[2*j+1]
+		a := bm[j]
+		c := 2 - a
+		next[j] = min(m0+a, m1+c)
+		next[j+numStates/2] = min(m0+c, m1+a)
+	}
+}
+
+// Repairs reports whether hard-decision Viterbi decoding of the coded
+// chips [lo, hi) yields all-zero data: exactly err == nil && every bit of
+// Decode(coded bits lo..hi−1).Bits is 0, computed from path metrics alone.
+// Decoding an error pattern through the linear code asks whether the
+// decoder repaired it, and that is all the FEC recovery schemes need.
+// Branch t is chips lo+2t (first coded bit) and lo+2t+1.
 //
 // Why metrics suffice: traceback starts in state 0, and ties keep the p0
 // predecessor. A traceback that leaves state 0 at step t enters state 1,
@@ -281,59 +280,44 @@ func Decode(coded []byte) (Result, error) {
 // step, and Repairs stops at the first step where it would not. It runs the
 // same ACS recursion as Decode with no survivors, margins, traceback or
 // reliability pass, and allocates nothing.
-func Repairs(coded []byte) bool {
-	if len(coded)%Rate != 0 {
+//
+// Error-free steps cannot move the traceback off state 0 (its p0 metric
+// stays 0 while p1 costs at least 2), so a range with no set chip returns
+// true before any trellis work, and a damaged one starts at the branch of
+// its first set chip from cleanMetrics. Branch symbols come off one
+// 64-chip window per 32 steps: chips pack MSB-first, so w>>62 is a branch.
+func Repairs(coded *bitutil.ChipWords, lo, hi int) bool {
+	if (hi-lo)%Rate != 0 || (hi-lo)/Rate < K-1 {
 		return false
 	}
-	nBranches := len(coded) / Rate
-	if nBranches < K-1 {
-		return false
+	first := coded.NextSet(lo, hi)
+	if first == hi {
+		return true
 	}
 	mRepairBlocks.Get().Inc()
 	steps := mRepairSteps.Get()
-	const inf = math.MaxInt32 / 2
-
-	var ma, mb [numStates]int32
+	nBranches := (hi - lo) / Rate
+	t0 := (first - lo) / Rate
+	ma, mb := cleanMetrics[min(t0, len(cleanMetrics)-1)], [numStates]int32{}
 	metric, next := &ma, &mb
-	for s := 1; s < numStates; s++ {
-		metric[s] = inf
-	}
-	// Warm-up: before step K−1 no state with its oldest bit set is
-	// reachable, so every p1 predecessor is unreachable and each state
-	// extends its p0 path (or stays unreachable). State 0 cannot pick p1
-	// here.
-	for t := 0; t < K-1; t++ {
-		bm := &branchMetrics[(coded[t*Rate]<<1|coded[t*Rate+1])&0b11]
-		for ns := 0; ns < numStates; ns++ {
-			p0 := (ns << 1) & (numStates - 1)
-			if m := metric[p0]; m < inf {
-				next[ns] = m + bm[outputs[p0][ns>>(K-2)]]
-			} else {
-				next[ns] = inf
-			}
+	var w uint64
+	for t := t0; t < nBranches; t++ {
+		if (t-t0)%(64/Rate) == 0 {
+			w = coded.Peek64(lo + Rate*t)
 		}
-		metric, next = next, metric
-	}
-
-	// Steady state: Decode's butterflies, keeping only the metrics.
-	for t := K - 1; t < nBranches; t++ {
-		bm := &butterflyBM[(coded[t*Rate]<<1|coded[t*Rate+1])&0b11]
+		rx := w >> 62
+		w <<= 2
 		// State 0 is butterfly 0's first successor: p0 = 0 via a, p1 = 1
-		// via 2−a. A strict p1 win sends the traceback out of state 0.
-		if a := bm[0]; metric[1]+2-a < metric[0]+a {
-			steps.Add(int64(t + 1))
+		// via 2−a. A strict p1 win sends the traceback out of state 0
+		// (never during the warm-up, while state 1 is unreachable).
+		if a := butterflyBM[rx][0]; metric[1]+2-a < metric[0]+a {
+			steps.Add(int64(t + 1 - t0))
 			return false
 		}
-		for j := 0; j < numStates/2; j++ {
-			m0, m1 := metric[2*j], metric[2*j+1]
-			a := bm[j]
-			c := 2 - a
-			next[j] = min(m0+a, m1+c)
-			next[j+numStates/2] = min(m0+c, m1+a)
-		}
+		acsStep(next, metric, rx)
 		metric, next = next, metric
 	}
-	steps.Add(int64(nBranches))
+	steps.Add(int64(nBranches - t0))
 	return true
 }
 

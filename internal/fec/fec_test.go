@@ -332,3 +332,27 @@ func TestHintMonotonicityAcrossNoise(t *testing.T) {
 		t.Errorf("coded-PHY hint not monotone: clean %v >= noisy %v", clean, noisy)
 	}
 }
+
+// TestCleanMetricsFixedPoint pins the table Repairs starts damaged blocks
+// from: it is tiny, every step is one error-free ACS step from the last,
+// and its final vector is a fixed point, so any later first error may
+// start from it.
+func TestCleanMetricsFixedPoint(t *testing.T) {
+	if n := len(cleanMetrics); n < K || n > 16 {
+		t.Fatalf("%d clean metric vectors, want between K and 16", n)
+	}
+	for i := 1; i < len(cleanMetrics); i++ {
+		var next [numStates]int32
+		acsStep(&next, &cleanMetrics[i-1], 0)
+		if next != cleanMetrics[i] {
+			t.Fatalf("cleanMetrics[%d] is not one clean step from [%d]", i, i-1)
+		}
+	}
+	last := len(cleanMetrics) - 1
+	var next [numStates]int32
+	acsStep(&next, &cleanMetrics[last], 0)
+	if next != cleanMetrics[last] {
+		t.Errorf("cleanMetrics[%d] is not a fixed point", last)
+	}
+	t.Logf("%d clean metric vectors", len(cleanMetrics))
+}

@@ -3,6 +3,7 @@ package fec_test
 import (
 	"testing"
 
+	"ppr/internal/bitutil"
 	"ppr/internal/fec"
 	"ppr/internal/obs"
 	"ppr/internal/stats"
@@ -31,10 +32,15 @@ func decodesToZero(coded []byte) bool {
 	return true
 }
 
+// repairs runs fec.Repairs over a whole byte-per-bit stream, packed.
+func repairs(coded []byte) bool {
+	return fec.Repairs(bitutil.PackChipBytes(coded), 0, len(coded))
+}
+
 func assertRepairsParity(t *testing.T, what string, coded []byte) bool {
 	t.Helper()
 	want := decodesToZero(coded)
-	if got := fec.Repairs(coded); got != want {
+	if got := repairs(coded); got != want {
 		t.Fatalf("%s (%d coded bits, weight %d): Repairs %v, Decode all-zero %v",
 			what, len(coded), weight(coded), got, want)
 	}
@@ -71,7 +77,7 @@ func TestRepairsShapes(t *testing.T) {
 	// Malformed lengths are never repaired, as Decode errors on them.
 	for _, n := range []int{1, 3, 2*fec.K - 1, blockCoded - 1, blockCoded + 1} {
 		coded := make([]byte, n)
-		if fec.Repairs(coded) {
+		if repairs(coded) {
 			t.Errorf("odd length %d: Repairs true", n)
 		}
 		assertRepairsParity(t, "odd length", coded)
@@ -235,47 +241,55 @@ func TestRepairsMatchesDecodeRandom(t *testing.T) {
 }
 
 // TestRepairsCountersAndAllocs pins the metric contract: fec.repair_blocks
-// counts well-formed blocks, fec.repair_steps the trellis steps run (all of
-// them for a repaired block, fewer for one ruled out early), and Repairs
-// allocates nothing with metrics on or off.
+// counts damaged well-formed blocks (a clean range answers before the
+// trellis), fec.repair_steps the trellis steps run from the block's first
+// error (to the end for a repaired block, fewer for one ruled out early),
+// and Repairs allocates nothing with metrics on or off.
 func TestRepairsCountersAndAllocs(t *testing.T) {
 	old := obs.Default()
 	defer obs.SetDefault(old)
 	obs.SetDefault(nil)
-	clean := make([]byte, blockCoded)
-	hopeless := make([]byte, blockCoded)
+	clean := bitutil.NewChipWords(blockCoded)
+	hopeless := bitutil.NewChipWords(blockCoded)
 	for i := 0; i < 40; i++ {
-		hopeless[i] = 1
+		hopeless.SetBit(i, 1)
 	}
-	if fec.Repairs(hopeless) {
-		t.Fatal("40-bit solid burst repaired")
+	late := bitutil.NewChipWords(blockCoded) // one error in branch 150
+	late.SetBit(301, 1)
+	if fec.Repairs(hopeless, 0, blockCoded) || !fec.Repairs(late, 0, blockCoded) {
+		t.Fatal("40-bit solid burst repaired or single late error not")
 	}
-	for name, coded := range map[string][]byte{"clean": clean, "hopeless": hopeless} {
-		if a := testing.AllocsPerRun(20, func() { fec.Repairs(coded) }); a != 0 {
+	for name, coded := range map[string]*bitutil.ChipWords{"clean": clean, "hopeless": hopeless, "late": late} {
+		if a := testing.AllocsPerRun(20, func() { fec.Repairs(coded, 0, blockCoded) }); a != 0 {
 			t.Errorf("%s block, metrics off: %.1f allocs per call", name, a)
 		}
 	}
 
 	r := obs.New()
 	obs.SetDefault(r)
-	fec.Repairs(clean)
-	fec.Repairs(hopeless)
-	fec.Repairs(clean[:fec.K]) // odd length: rejected, not counted
+	fec.Repairs(clean, 0, blockCoded)
+	fec.Repairs(hopeless, 0, blockCoded)
+	fec.Repairs(late, 0, blockCoded)
+	fec.Repairs(hopeless, 0, fec.K) // odd length: rejected, not counted
 	snap := r.Snapshot()
 	if got := snap.Counters["fec.repair_blocks"]; got != 2 {
-		t.Errorf("fec.repair_blocks = %d, want 2", got)
+		t.Errorf("fec.repair_blocks = %d, want 2 (the damaged blocks)", got)
 	}
 	nb := int64(blockCoded / fec.Rate)
-	if got := snap.Counters["fec.repair_steps"]; got <= nb || got >= 2*nb {
-		t.Errorf("fec.repair_steps = %d, want %d for the clean block plus an early stop", got, nb)
+	lateSteps := nb - 150
+	if got := snap.Counters["fec.repair_steps"]; got <= lateSteps || got >= lateSteps+nb {
+		t.Errorf("fec.repair_steps = %d, want %d for the late error plus an early stop", got, lateSteps)
 	}
-	if a := testing.AllocsPerRun(20, func() { fec.Repairs(hopeless) }); a != 0 {
+	if a := testing.AllocsPerRun(20, func() { fec.Repairs(hopeless, 0, blockCoded) }); a != 0 {
 		t.Errorf("metrics on: %.1f allocs per call", a)
 	}
 }
 
 // FuzzRepairsParity fuzzes Repairs against the full decode over arbitrary
-// coded streams (each input byte's low bit is one coded bit).
+// coded streams (each input byte's low bit is one coded bit), decoding the
+// range [lo, hi) of a longer packed stream: lo at an arbitrary even offset
+// (so blocks start mid-word and their first error lands anywhere), hi
+// mid-word, and random chips outside the range that Repairs must ignore.
 func FuzzRepairsParity(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1})
@@ -298,5 +312,19 @@ func FuzzRepairsParity(f *testing.F) {
 			coded[i] = b & 1
 		}
 		assertRepairsParity(t, "fuzz", coded)
+		if len(data) == 0 {
+			return
+		}
+		// Embed coded at an even offset between random chips.
+		rng := stats.NewRNG(uint64(len(data))*31 + uint64(data[0]))
+		lo := 2 * int(data[len(data)-1]>>1)
+		stream := make([]byte, lo+len(coded)+1+rng.Intn(64))
+		for i := range stream {
+			stream[i] = byte(rng.Intn(2))
+		}
+		copy(stream[lo:], coded)
+		if got, want := fec.Repairs(bitutil.PackChipBytes(stream), lo, lo+len(coded)), decodesToZero(coded); got != want {
+			t.Fatalf("range [%d, %d) of %d chips: Repairs %v, Decode all-zero %v", lo, lo+len(coded), len(stream), got, want)
+		}
 	})
 }

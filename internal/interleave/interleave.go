@@ -13,12 +13,16 @@
 // exactly the a-priori knowledge the paper says PPR avoids needing.
 package interleave
 
-import "fmt"
+import (
+	"fmt"
 
-// Block is a rows×cols block interleaver over byte symbols: data is
-// written row-major and read column-major, so a burst of length L in the
-// channel is spread into single errors at least rows positions apart
-// (when L ≤ rows).
+	"ppr/internal/bitutil"
+)
+
+// Block is a rows×cols block interleaver over coded bits: data is written
+// row-major and read column-major, so a burst of length L in the channel
+// is spread into single errors at least rows positions apart (when
+// L ≤ rows).
 type Block struct {
 	rows, cols int
 }
@@ -32,39 +36,33 @@ func New(rows, cols int) Block {
 	return Block{rows: rows, cols: cols}
 }
 
-// Size returns the block size rows·cols; Interleave and Deinterleave
-// operate on exact multiples of it.
+// Size returns the block size rows·cols: the transmitter interleaves
+// whole tiles of Size() coded bits.
 func (b Block) Size() int { return b.rows * b.cols }
 
-// Interleave permutes data block by block. len(data) must be a multiple of
-// Size().
-func (b Block) Interleave(data []byte) []byte {
-	return b.permute(data, true)
-}
-
-// Deinterleave inverts Interleave.
-func (b Block) Deinterleave(data []byte) []byte {
-	return b.permute(data, false)
-}
-
-func (b Block) permute(data []byte, forward bool) []byte {
-	if len(data)%b.Size() != 0 {
-		panic(fmt.Sprintf("interleave: length %d not a multiple of block size %d", len(data), b.Size()))
-	}
-	out := make([]byte, len(data))
-	for blk := 0; blk < len(data); blk += b.Size() {
-		for r := 0; r < b.rows; r++ {
-			for c := 0; c < b.cols; c++ {
-				rowMajor := blk + r*b.cols + c
-				colMajor := blk + c*b.rows + r
-				if forward {
-					out[colMajor] = data[rowMajor]
-				} else {
-					out[rowMajor] = data[colMajor]
-				}
+// Deinterleave undoes the transmitter's interleaving of a packed chip
+// stream. The transmitter writes each rows×cols tile row-major and reads
+// it onto the channel column-major, so in channel order tile column c is
+// rows consecutive chips, and chip r of it returns to tile position
+// r·cols + c. A trailing run shorter than one tile was sent uninterleaved
+// and is copied through. Only set chips move: one NextSet scan finds each,
+// and the column and tile cursors advance by addition, so an error pattern
+// costs time in proportion to its words and its errors.
+func (b Block) Deinterleave(chips *bitutil.ChipWords) *bitutil.ChipWords {
+	n := chips.Len()
+	m := n / b.Size() * b.Size()
+	out := bitutil.NewChipWords(n)
+	tile, col, c := 0, 0, 0 // tile start, column start, column index
+	for p := chips.NextSet(0, m); p < m; p = chips.NextSet(p+1, m) {
+		for p >= col+b.rows {
+			col += b.rows
+			if c++; c == b.cols {
+				tile, c = col, 0
 			}
 		}
+		out.SetBit(tile+(p-col)*b.cols+c, 1)
 	}
+	out.CopyFrom(m, chips, m, n-m)
 	return out
 }
 
@@ -80,7 +78,3 @@ func (b Block) Pad(data []byte) (padded []byte, origLen int) {
 	copy(padded, data)
 	return padded, origLen
 }
-
-// MaxSpreadBurst returns the longest channel burst (in symbols) that the
-// interleaver spreads into isolated single errors: its row count.
-func (b Block) MaxSpreadBurst() int { return b.rows }

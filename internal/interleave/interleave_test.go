@@ -4,9 +4,35 @@ import (
 	"bytes"
 	"testing"
 
+	"ppr/internal/bitutil"
 	"ppr/internal/fec"
 	"ppr/internal/stats"
 )
+
+// refPermute is the byte-per-bit reference permutation: each whole tile is
+// written row-major and read column-major (forward) or the inverse; a
+// trailing partial tile passes through.
+func refPermute(b Block, data []byte, forward bool) []byte {
+	out := append([]byte(nil), data...)
+	for blk := 0; blk+b.Size() <= len(data); blk += b.Size() {
+		for r := 0; r < b.rows; r++ {
+			for c := 0; c < b.cols; c++ {
+				rowMajor, colMajor := blk+r*b.cols+c, blk+c*b.rows+r
+				if forward {
+					out[colMajor] = data[rowMajor]
+				} else {
+					out[rowMajor] = data[colMajor]
+				}
+			}
+		}
+	}
+	return out
+}
+
+// deinterleave runs the packed Deinterleave on a byte-per-bit stream.
+func deinterleave(b Block, bits []byte) []byte {
+	return b.Deinterleave(bitutil.PackChipBytes(bits)).Bytes()
+}
 
 func TestRoundTrip(t *testing.T) {
 	rng := stats.NewRNG(1)
@@ -15,9 +41,9 @@ func TestRoundTrip(t *testing.T) {
 		for blocks := 1; blocks <= 3; blocks++ {
 			data := make([]byte, b.Size()*blocks)
 			for i := range data {
-				data[i] = byte(rng.Intn(256))
+				data[i] = byte(rng.Intn(2))
 			}
-			got := b.Deinterleave(b.Interleave(data))
+			got := deinterleave(b, refPermute(b, data, true))
 			if !bytes.Equal(got, data) {
 				t.Fatalf("%dx%d x%d blocks: round trip failed", geom[0], geom[1], blocks)
 			}
@@ -25,19 +51,50 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestInterleaveIsPermutation moves one set chip through every channel
+// position of two tiles: each must land on a distinct position.
 func TestInterleaveIsPermutation(t *testing.T) {
 	b := New(8, 16)
-	data := make([]byte, b.Size())
-	for i := range data {
-		data[i] = byte(i)
-	}
-	out := b.Interleave(data)
-	seen := make([]bool, len(data))
-	for _, v := range out {
-		if seen[v] {
-			t.Fatal("duplicate symbol after interleave")
+	seen := make([]bool, 2*b.Size())
+	for p := range seen {
+		chips := bitutil.NewChipWords(len(seen))
+		chips.SetBit(p, 1)
+		out := b.Deinterleave(chips)
+		q := out.NextSet(0, out.Len())
+		if out.OnesCount() != 1 || seen[q] {
+			t.Fatalf("channel chip %d: %d set chips out, first at %d (seen %v)", p, out.OnesCount(), q, seen[q])
 		}
-		seen[v] = true
+		seen[q] = true
+	}
+}
+
+// TestDeinterleaveMatchesReference checks the packed deinterleaver against
+// the byte-per-bit reference on the default 32×48 geometry, rows above 64,
+// rows that do not divide 64, trailing partial tiles and clean, sparse,
+// bursty and dense patterns.
+func TestDeinterleaveMatchesReference(t *testing.T) {
+	rng := stats.NewRNG(24)
+	for _, geom := range [][2]int{{32, 48}, {96, 5}, {70, 3}, {24, 7}, {5, 3}, {1, 1}, {16, 32}} {
+		b := New(geom[0], geom[1])
+		for _, n := range []int{0, b.Size() - 1, b.Size(), 2*b.Size() + 17, 3 * b.Size()} {
+			for _, density := range []float64{0, 0.01, 0.5, 1} {
+				bits := make([]byte, n)
+				for i := range bits {
+					if rng.Bool(density) {
+						bits[i] = 1
+					}
+				}
+				if n > 40 && density == 0.01 { // plus a burst
+					start := rng.Intn(n - 40)
+					for i := start; i < start+40; i++ {
+						bits[i] = 1
+					}
+				}
+				if got, want := deinterleave(b, bits), refPermute(b, bits, false); !bytes.Equal(got, want) {
+					t.Fatalf("%dx%d, %d chips, density %v: packed deinterleave differs from reference", geom[0], geom[1], n, density)
+				}
+			}
+		}
 	}
 }
 
@@ -45,24 +102,21 @@ func TestBurstSpreading(t *testing.T) {
 	// A contiguous channel burst of length ≤ rows must land ≥ rows apart
 	// after deinterleaving: no two errors adjacent.
 	b := New(16, 32)
-	data := make([]byte, b.Size())
-	tx := b.Interleave(data)
-	// Burst of 16 symbols mid-stream.
+	tx := bitutil.NewChipWords(b.Size())
+	// Burst of 16 chips mid-stream.
 	for i := 100; i < 116; i++ {
-		tx[i] ^= 0xff
+		tx.SetBit(i, 1)
 	}
 	rx := b.Deinterleave(tx)
 	var errPos []int
-	for i, v := range rx {
-		if v != 0 {
-			errPos = append(errPos, i)
-		}
+	for p := rx.NextSet(0, rx.Len()); p < rx.Len(); p = rx.NextSet(p+1, rx.Len()) {
+		errPos = append(errPos, p)
 	}
 	if len(errPos) != 16 {
 		t.Fatalf("%d errors after deinterleave, want 16", len(errPos))
 	}
 	for i := 1; i < len(errPos); i++ {
-		if gap := errPos[i] - errPos[i-1]; gap < b.MaxSpreadBurst() {
+		if gap := errPos[i] - errPos[i-1]; gap < b.rows {
 			t.Fatalf("errors %d and %d only %d apart (rows=%d)", errPos[i-1], errPos[i], gap, b.rows)
 		}
 	}
@@ -89,16 +143,6 @@ func TestGeometryPanics(t *testing.T) {
 	New(0, 5)
 }
 
-func TestLengthPanics(t *testing.T) {
-	b := New(4, 4)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	b.Interleave(make([]byte, 15))
-}
-
 // TestInterleavingRescuesConvolutionalCode quantifies the Sec. 8.3
 // trade-off: a burst that defeats the K=7 code directly becomes correctable
 // once interleaved deeply enough — and stays fatal when the interleaver is
@@ -116,7 +160,7 @@ func TestInterleavingRescuesConvolutionalCode(t *testing.T) {
 		var origLen int
 		if ilv != nil {
 			tx, origLen = ilv.Pad(tx)
-			tx = ilv.Interleave(tx)
+			tx = refPermute(*ilv, tx, true)
 		}
 		// One contiguous burst of flips.
 		lo := len(tx) / 3
@@ -124,7 +168,7 @@ func TestInterleavingRescuesConvolutionalCode(t *testing.T) {
 			tx[i] ^= 1
 		}
 		if ilv != nil {
-			tx = ilv.Deinterleave(tx)[:origLen]
+			tx = deinterleave(*ilv, tx)[:origLen]
 		}
 		res, err := fec.Decode(tx)
 		if err != nil {

@@ -8,6 +8,7 @@
 package schemes
 
 import (
+	"ppr/internal/bitutil"
 	"ppr/internal/fec"
 	"ppr/internal/interleave"
 	"ppr/internal/sim"
@@ -45,46 +46,18 @@ func fecLayout(p Params, payloadBytes int) (nBlocks, dataBits, codedBits int) {
 	return nBlocks, dataBits, codedBits
 }
 
-// channelErrorBits reconstructs the coded-bit error pattern the channel
-// imposed on the payload: per symbol, the XOR of the decoded and true
-// 4-bit values expanded LSB-first; symbols the receiver never decoded
-// (missing prefix, truncated reception) are fully corrupted.
-func channelErrorBits(o *sim.Outcome, payloadBytes int) []byte {
-	nSym := payloadBytes * 2
-	bits := make([]byte, nSym*symbolBits)
-	for idx := 0; idx < nSym; idx++ {
-		var e byte = 0xF
-		if di := idx - o.MissingPrefix; di >= 0 && di < len(o.Decisions) && idx < len(o.TruthSyms) {
-			e = (o.Decisions[di].Symbol ^ o.TruthSyms[idx]) & 0xF
-		}
-		for j := 0; j < symbolBits; j++ {
-			bits[idx*symbolBits+j] = e >> uint(j) & 1
-		}
+// codedRegion returns an error pattern covering at least the first n
+// chips: the pattern itself, or, when the true payload is shorter than the
+// coded layout, a copy whose missing chips are set, as undecoded symbols'
+// are. fec.Repairs then reads each block as a chip range of it.
+func codedRegion(pat *bitutil.ChipWords, n int) *bitutil.ChipWords {
+	if pat.Len() >= n {
+		return pat
 	}
-	return bits
-}
-
-// allZero reports whether every bit of an error pattern is clear.
-func allZero(bits []byte) bool {
-	for _, b := range bits {
-		if b != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// blockRepaired reports whether the code fully repaired one coded block's
-// error pattern. An error-free block short-circuits: hard-decision Viterbi
-// of the uncorrupted codeword is the identity, so the trellis only runs
-// where the channel actually did damage — post-processing cost scales with
-// corruption, not payload size. A damaged block goes through fec.Repairs,
-// which answers "does Viterbi decode this pattern to all zeros?" from path
-// metrics alone: the same boolean as testing fec.Decode's bits for zero,
-// without survivors, traceback or SOVA reliabilities, and stopping at the
-// first step that rules repair out.
-func blockRepaired(errBits []byte) bool {
-	return allZero(errBits) || fec.Repairs(errBits)
+	out := bitutil.NewChipWords(n)
+	out.CopyFrom(0, pat, 0, pat.Len())
+	out.FillUniform(pat.Len(), n, func() uint64 { return ^uint64(0) })
+	return out
 }
 
 // ---- Block FEC (Sec. 8.3's coding alternative) ----
@@ -120,61 +93,36 @@ func (s BlockFEC) AppBytesPerPacket(p Params, payloadBytes int) int {
 	return nBlocks * fecDataBytes(p)
 }
 
-// DeliveredAppBytes implements RecoveryScheme.
-func (s BlockFEC) DeliveredAppBytes(mask []bool, o *sim.Outcome, p Params, payloadBytes int) int {
+// DeliveredAppBytes implements RecoveryScheme. Each block goes through
+// fec.Repairs, which answers "does Viterbi decode this pattern to all
+// zeros?" from path metrics alone — the same boolean as testing
+// fec.Decode's bits for zero. An error-free block answers before any
+// trellis work and a damaged one starts at its first error, so
+// post-processing cost scales with corruption, not payload size.
+func (s BlockFEC) DeliveredAppBytes(pat *bitutil.ChipWords, o *sim.Outcome, p Params, payloadBytes int) int {
 	if !o.Acquired {
 		return 0
 	}
-	mask = maskOf(mask, o)
 	nBlocks, _, codedBits := fecLayout(p, payloadBytes)
-	if nBlocks == 0 {
-		return 0
+	region := codedRegion(patternOf(pat, o), nBlocks*codedBits)
+	if clean(region, 0, nBlocks*codedBits) {
+		return nBlocks * fecDataBytes(p) // error-free coded region: every block decodes
 	}
-	if cleanPayload(mask, payloadBytes) {
-		return nBlocks * fecDataBytes(p) // error-free packet: every block decodes
-	}
-	region := channelErrorBits(o, payloadBytes)[:nBlocks*codedBits]
 	if s.Interleaved {
-		region = deinterleaved(region, p)
+		// The transmitter interleaved whole rows×cols bit tiles, so a
+		// contiguous channel burst lands InterleaveCols bits apart at the
+		// decoder; a trailing region shorter than one tile went (and comes
+		// back) uninterleaved.
+		rows, cols := ilGeometry(p)
+		region = interleave.New(rows, cols).Deinterleave(region.Slice(0, nBlocks*codedBits))
 	}
 	delivered := 0
 	for b := 0; b < nBlocks; b++ {
-		if blockRepaired(region[b*codedBits : (b+1)*codedBits]) {
+		if fec.Repairs(region, b*codedBits, (b+1)*codedBits) {
 			delivered += fecDataBytes(p)
 		}
 	}
 	return delivered
-}
-
-// cleanPayload reports whether the mask certifies every symbol of the
-// payload correct — the fast path that skips error-pattern reconstruction
-// for the (common) undamaged packet.
-func cleanPayload(mask []bool, payloadBytes int) bool {
-	if len(mask) < payloadBytes*2 {
-		return false
-	}
-	for _, ok := range mask[:payloadBytes*2] {
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// deinterleaved applies the receiver's deinterleaver to the coded region's
-// error pattern: the transmitter interleaved whole rows×cols bit tiles, so
-// a contiguous channel burst lands InterleaveCols bits apart at the
-// decoder. A trailing region shorter than one tile is sent (and returned)
-// uninterleaved.
-func deinterleaved(region []byte, p Params) []byte {
-	rows, cols := ilGeometry(p)
-	il := interleave.New(rows, cols)
-	m := len(region) / il.Size() * il.Size()
-	if m == 0 {
-		return region
-	}
-	out := il.Deinterleave(region[:m])
-	return append(out, region[m:]...)
 }
 
 // ---- Hybrid PPR + FEC (the ZipTx/Maranello direction) ----
@@ -204,14 +152,14 @@ func (HybridPPRFEC) AppBytesPerPacket(p Params, payloadBytes int) int {
 }
 
 // DeliveredAppBytes implements RecoveryScheme.
-func (HybridPPRFEC) DeliveredAppBytes(mask []bool, o *sim.Outcome, p Params, payloadBytes int) int {
+func (HybridPPRFEC) DeliveredAppBytes(pat *bitutil.ChipWords, o *sim.Outcome, p Params, payloadBytes int) int {
 	if !o.Acquired {
 		return 0
 	}
-	mask = maskOf(mask, o)
+	pat = patternOf(pat, o)
 	nBlocks, _, codedBits := fecLayout(p, payloadBytes)
 	symsPerBlock := codedBits / symbolBits
-	var errBits []byte // reconstructed lazily, only if some block needs repair
+	var region *bitutil.ChipWords // resolved lazily, only if some block needs repair
 	delivered := 0
 	for b := 0; b < nBlocks; b++ {
 		s0 := b * symsPerBlock
@@ -225,22 +173,15 @@ func (HybridPPRFEC) DeliveredAppBytes(mask []bool, o *sim.Outcome, p Params, pay
 		}
 		if !flagged {
 			// Hint-clean block: deliver directly iff actually correct.
-			ok := true
-			for idx := s0; idx < s0+symsPerBlock; idx++ {
-				if idx >= len(mask) || !mask[idx] {
-					ok = false
-					break
-				}
-			}
-			if ok {
+			if clean(pat, b*codedBits, (b+1)*codedBits) {
 				delivered += fecDataBytes(p)
 			}
 			continue
 		}
-		if errBits == nil {
-			errBits = channelErrorBits(o, payloadBytes)
+		if region == nil {
+			region = codedRegion(pat, nBlocks*codedBits)
 		}
-		if blockRepaired(errBits[b*codedBits : (b+1)*codedBits]) {
+		if fec.Repairs(region, b*codedBits, (b+1)*codedBits) {
 			delivered += fecDataBytes(p)
 		}
 	}

@@ -17,14 +17,16 @@
 // interleaver (internal/interleave), and HybridPPRFEC spends that decoding
 // effort only where SoftPHY hints flag damage.
 //
-// Every scheme scores one sim.Outcome against its precomputed correctness
-// mask; the mask is computed once per outcome by the experiments layer and
-// shared across all schemes and variants, so adding a scheme costs only its
-// own arithmetic, never another pass over ground truth.
+// Every scheme scores one sim.Outcome from its packed coded-bit error
+// pattern (sim.Outcome.ErrorPattern); the pattern is computed once per
+// reception by the experiments layer and shared across all schemes and
+// variants, so adding a scheme costs only its own arithmetic, never another
+// pass over ground truth.
 package schemes
 
 import (
 	"ppr/internal/baseline"
+	"ppr/internal/bitutil"
 	"ppr/internal/sim"
 )
 
@@ -78,7 +80,10 @@ func DefaultParams() Params {
 // RecoveryScheme is one post-processing recovery scheme: it declares how
 // many application bytes a packet carries and scores one receive outcome.
 // Implementations must be stateless values safe for concurrent use — the
-// experiments layer fans post-processing out over a worker pool.
+// experiments layer fans post-processing out over a worker pool. A score
+// must be a function of the reception alone and must not read
+// Outcome.Variant: when both receiver variants acquired the same
+// reception, the experiments layer scores it once and reuses the score.
 type RecoveryScheme interface {
 	// Name is the scheme's display name ("Packet CRC"); Slug(Name()) is its
 	// registry key ("packet-crc").
@@ -89,19 +94,25 @@ type RecoveryScheme interface {
 	AppBytesPerPacket(p Params, payloadBytes int) int
 	// DeliveredAppBytes post-processes one outcome, returning the
 	// application bytes the scheme would hand to higher layers. Only correct
-	// bytes count: a delivered-but-wrong byte is not delivery. mask is the
-	// outcome's precomputed CorrectMask, shared across schemes; nil means
-	// compute it locally.
-	DeliveredAppBytes(mask []bool, o *sim.Outcome, p Params, payloadBytes int) int
+	// bytes count: a delivered-but-wrong byte is not delivery. pat is the
+	// outcome's precomputed ErrorPattern, shared across schemes; nil means
+	// compute it locally. Chips past pat.Len() count as errors.
+	DeliveredAppBytes(pat *bitutil.ChipWords, o *sim.Outcome, p Params, payloadBytes int) int
 }
 
-// maskOf resolves the shared mask, computing it only for direct callers
-// that did not precompute one.
-func maskOf(mask []bool, o *sim.Outcome) []bool {
-	if mask == nil {
-		return o.CorrectMask()
+// patternOf resolves the shared error pattern, computing it only for
+// direct callers that did not precompute one.
+func patternOf(pat *bitutil.ChipWords, o *sim.Outcome) *bitutil.ChipWords {
+	if pat == nil {
+		return o.ErrorPattern()
 	}
-	return mask
+	return pat
+}
+
+// clean reports whether chips [lo, hi) lie inside the pattern and are all
+// clear: every symbol of the range decoded correctly.
+func clean(pat *bitutil.ChipWords, lo, hi int) bool {
+	return hi <= pat.Len() && pat.NextSet(lo, hi) == hi
 }
 
 // ---- Packet CRC (the status quo) ----
@@ -118,14 +129,12 @@ func (PacketCRC) AppBytesPerPacket(p Params, payloadBytes int) int { return payl
 
 // DeliveredAppBytes implements RecoveryScheme: every symbol correct or
 // nothing.
-func (PacketCRC) DeliveredAppBytes(mask []bool, o *sim.Outcome, p Params, payloadBytes int) int {
+func (PacketCRC) DeliveredAppBytes(pat *bitutil.ChipWords, o *sim.Outcome, p Params, payloadBytes int) int {
 	if !o.Acquired {
 		return 0
 	}
-	for _, ok := range maskOf(mask, o) {
-		if !ok {
-			return 0
-		}
+	if pat = patternOf(pat, o); !clean(pat, 0, pat.Len()) {
+		return 0
 	}
 	return payloadBytes
 }
@@ -148,13 +157,13 @@ func (FragCRC) AppBytesPerPacket(p Params, payloadBytes int) int {
 
 // DeliveredAppBytes implements RecoveryScheme: a fragment is delivered iff
 // every symbol of its data-plus-CRC region is correct. A fragment whose
-// region extends past the mask (truncated reception, or a payload too short
-// for the layout) is not delivered.
-func (FragCRC) DeliveredAppBytes(mask []bool, o *sim.Outcome, p Params, payloadBytes int) int {
+// region extends past the pattern (a payload too short for the layout) is
+// not delivered.
+func (FragCRC) DeliveredAppBytes(pat *bitutil.ChipWords, o *sim.Outcome, p Params, payloadBytes int) int {
 	if !o.Acquired {
 		return 0
 	}
-	mask = maskOf(mask, o)
+	pat = patternOf(pat, o)
 	appBytes := baseline.AppCapacity(payloadBytes, p.FragBytes)
 	delivered := 0
 	pos := 0 // payload byte cursor
@@ -164,13 +173,7 @@ func (FragCRC) DeliveredAppBytes(mask []bool, o *sim.Outcome, p Params, payloadB
 			end = appBytes
 		}
 		fragPayloadBytes := end - off + baseline.FragOverhead
-		ok := true
-		for b := pos; b < pos+fragPayloadBytes && ok; b++ {
-			if 2*b+1 >= len(mask) || !mask[2*b] || !mask[2*b+1] {
-				ok = false
-			}
-		}
-		if ok {
+		if clean(pat, 8*pos, 8*(pos+fragPayloadBytes)) {
 			delivered += end - off
 		}
 		pos += fragPayloadBytes
@@ -195,20 +198,24 @@ func (PPR) AppBytesPerPacket(p Params, payloadBytes int) int { return payloadByt
 // DeliveredAppBytes implements RecoveryScheme. It counts good-and-correct
 // symbols and converts to bytes once at the end, rounding the trailing
 // nibble up: the seed's goodCorrect*4/8 floored the conversion, silently
-// discarding half a delivered byte from every odd count.
-func (PPR) DeliveredAppBytes(mask []bool, o *sim.Outcome, p Params, payloadBytes int) int {
+// discarding half a delivered byte from every odd count. A symbol is
+// correct iff its nibble of the error pattern is clear; the nibbles come
+// 16 at a time off one 64-chip window.
+func (PPR) DeliveredAppBytes(pat *bitutil.ChipWords, o *sim.Outcome, p Params, payloadBytes int) int {
 	if !o.Acquired {
 		return 0
 	}
-	mask = maskOf(mask, o)
+	pat = patternOf(pat, o)
+	lo := o.MissingPrefix * symbolBits
+	ds := o.Decisions[:max(0, min(len(o.Decisions), pat.Len()/symbolBits-o.MissingPrefix))]
 	goodCorrect := 0
-	for i, d := range o.Decisions {
-		idx := o.MissingPrefix + i
-		if idx >= len(mask) {
-			break
-		}
-		if d.Hint <= p.Eta && mask[idx] {
-			goodCorrect++
+	for g := 0; g < len(ds); g += 16 {
+		w := pat.Peek64(lo + g*symbolBits)
+		for _, d := range ds[g:min(g+16, len(ds))] {
+			if d.Hint <= p.Eta && w>>60 == 0 {
+				goodCorrect++
+			}
+			w <<= symbolBits
 		}
 	}
 	return (goodCorrect*symbolBits + 7) / 8

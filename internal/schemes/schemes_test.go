@@ -1,9 +1,9 @@
 package schemes
 
 import (
-	"reflect"
 	"testing"
 
+	"ppr/internal/bitutil"
 	"ppr/internal/phy"
 	"ppr/internal/sim"
 )
@@ -233,21 +233,18 @@ func TestFragCRCFragBytesAtLeastPayload(t *testing.T) {
 }
 
 func TestFragCRCMaskShorterThanFragmentRegion(t *testing.T) {
-	// An explicit mask shorter than even the first fragment's region: no
-	// fragment can verify, delivery is zero, no panic.
+	// An explicit error pattern shorter than even the first fragment's
+	// region: no fragment can verify, delivery is zero, no panic.
 	payloadBytes := 20
 	p := Params{FragBytes: 8, Eta: 6}
 	o := cleanOutcome(payloadBytes)
-	short := make([]bool, 6) // 3 payload bytes of mask, first fragment needs 12
-	for i := range short {
-		short[i] = true
-	}
+	short := bitutil.NewChipWords(24) // 3 clean payload bytes, first fragment needs 12
 	if got := (FragCRC{}).DeliveredAppBytes(short, o, p, payloadBytes); got != 0 {
-		t.Errorf("short mask delivered %d, want 0", got)
+		t.Errorf("short pattern delivered %d, want 0", got)
 	}
-	// Zero-length mask too.
-	if got := (FragCRC{}).DeliveredAppBytes([]bool{}, o, p, payloadBytes); got != 0 {
-		t.Errorf("empty mask delivered %d, want 0", got)
+	// Zero-length pattern too.
+	if got := (FragCRC{}).DeliveredAppBytes(bitutil.NewChipWords(0), o, p, payloadBytes); got != 0 {
+		t.Errorf("empty pattern delivered %d, want 0", got)
 	}
 }
 
@@ -329,6 +326,14 @@ func TestBlockFECUndecodedSymbolsCorrupt(t *testing.T) {
 	if got != 20 {
 		t.Errorf("missing-prefix outcome delivered %d, want 20 (blocks 0-1 erased)", got)
 	}
+	// A true payload shorter than the coded layout: the 48 coded bits past
+	// its 640 erase block 3, under every FEC scheme.
+	short := cleanOutcome(80)
+	for _, s := range []RecoveryScheme{BlockFEC{}, BlockFEC{Interleaved: true}, HybridPPRFEC{}} {
+		if got := s.DeliveredAppBytes(nil, short, p, payloadBytes); got != 30 {
+			t.Errorf("%s: short-truth outcome delivered %d, want 30 (block 3 erased)", s.Name(), got)
+		}
+	}
 }
 
 // ---- Hybrid PPR+FEC ----
@@ -372,12 +377,13 @@ func TestHybridMissDiffersFromBlockFEC(t *testing.T) {
 	}
 }
 
-// ---- Shared-mask contract ----
+// ---- Shared-pattern contract ----
 
 func TestSchemesHonorPrecomputedMask(t *testing.T) {
-	// Every scheme must score identically with a nil mask (computed
-	// locally) and the precomputed CorrectMask the experiments layer
-	// shares.
+	// Every scheme must score identically with a nil pattern (computed
+	// locally) and the precomputed ErrorPattern the experiments layer
+	// shares. The last outcome's truth is shorter than the payload, so
+	// the FEC layout reaches past its pattern.
 	p := DefaultParams()
 	p.FECDataBytes, p.InterleaveRows, p.InterleaveCols = 10, 16, 32
 	p.FragBytes = 8
@@ -390,38 +396,18 @@ func TestSchemesHonorPrecomputedMask(t *testing.T) {
 			o.Decisions = o.Decisions[20:]
 			return o
 		}(),
+		func() *sim.Outcome {
+			o := cleanOutcome(90)
+			o.Decisions[7].Hint = 12
+			return o
+		}(),
 	}
 	for _, s := range All() {
 		for i, o := range outs {
-			mask := o.CorrectMask()
-			if a, b := s.DeliveredAppBytes(nil, o, p, 100), s.DeliveredAppBytes(mask, o, p, 100); a != b {
-				t.Errorf("%s outcome %d: nil mask %d != shared mask %d", s.Name(), i, a, b)
+			pat := o.ErrorPattern()
+			if a, b := s.DeliveredAppBytes(nil, o, p, 100), s.DeliveredAppBytes(pat, o, p, 100); a != b {
+				t.Errorf("%s outcome %d: nil pattern %d != shared pattern %d", s.Name(), i, a, b)
 			}
 		}
-	}
-}
-
-func TestChannelErrorBits(t *testing.T) {
-	o := &sim.Outcome{
-		Acquired:      true,
-		MissingPrefix: 1,
-		TruthSyms:     []byte{0xA, 0xB, 0xC, 0xD},
-		Decisions:     []phy.Decision{decision(0xB, 0), decision(0xC, 0), decision(0xD, 0)},
-	}
-	bits := channelErrorBits(o, 2)
-	want := []byte{
-		1, 1, 1, 1, // symbol 0: undecoded prefix -> fully corrupt
-		0, 0, 0, 0, // symbol 1: 0xB decoded as 0xB
-		0, 0, 0, 0, // symbol 2: correct
-		0, 0, 0, 0, // symbol 3: correct
-	}
-	if !reflect.DeepEqual(bits, want) {
-		t.Errorf("channelErrorBits = %v, want %v", bits, want)
-	}
-	// A wrong decode XORs through.
-	o.Decisions[1] = decision(0xF, 0) // truth 0xC ^ 0xF = 0x3 -> bits 1,1,0,0
-	bits = channelErrorBits(o, 2)
-	if !reflect.DeepEqual(bits[8:12], []byte{1, 1, 0, 0}) {
-		t.Errorf("error nibble = %v, want [1 1 0 0]", bits[8:12])
 	}
 }

@@ -79,6 +79,26 @@ func TestDeliverRepeatedRunsIdentical(t *testing.T) {
 	}
 }
 
+// errorNibbles unpacks an error pattern to one value per symbol, bit 0
+// from the symbol's first chip.
+func errorNibbles(t *testing.T, o *Outcome) []byte {
+	t.Helper()
+	pat := o.ErrorPattern()
+	if pat.Len() != 4*len(o.TruthSyms) {
+		t.Fatalf("pattern length %d, want %d", pat.Len(), 4*len(o.TruthSyms))
+	}
+	out := make([]byte, len(o.TruthSyms))
+	for i := range out {
+		for j := 0; j < 4; j++ {
+			out[i] |= pat.Bit(4*i+j) << uint(j)
+		}
+	}
+	return out
+}
+
+// TestCorrectMaskEdgeCases pins Outcome.ErrorPattern, the packed
+// correctness mask every scheme scores from, where the decisions do not
+// line up with the payload.
 func TestCorrectMaskEdgeCases(t *testing.T) {
 	truth := []byte{1, 2, 3, 4}
 
@@ -88,27 +108,21 @@ func TestCorrectMaskEdgeCases(t *testing.T) {
 			MissingPrefix: 10,
 			Decisions:     []phy.Decision{{Symbol: 1}, {Symbol: 2}},
 		}
-		mask := o.CorrectMask()
-		if len(mask) != len(truth) {
-			t.Fatalf("mask length %d, want %d", len(mask), len(truth))
-		}
-		for i, ok := range mask {
-			if ok {
-				t.Errorf("symbol %d marked correct with out-of-range prefix", i)
-			}
+		if got, want := errorNibbles(t, o), []byte{0xF, 0xF, 0xF, 0xF}; !reflect.DeepEqual(got, want) {
+			t.Errorf("errors %x, want %x (out-of-range prefix is undecoded)", got, want)
 		}
 	})
 
 	t.Run("truncated decisions", func(t *testing.T) {
-		// Postamble rollback: only the last two symbols decoded.
+		// Postamble rollback: only the last two symbols decoded; a wrong
+		// decode XORs through (3 correct, 9 = 4 ^ 0xD).
 		o := &Outcome{
 			TruthSyms:     truth,
 			MissingPrefix: 2,
 			Decisions:     []phy.Decision{{Symbol: 3}, {Symbol: 9}},
 		}
-		want := []bool{false, false, true, false}
-		if got := o.CorrectMask(); !reflect.DeepEqual(got, want) {
-			t.Errorf("mask %v, want %v", got, want)
+		if got, want := errorNibbles(t, o), []byte{0xF, 0xF, 0, 0xD}; !reflect.DeepEqual(got, want) {
+			t.Errorf("errors %x, want %x", got, want)
 		}
 	})
 
@@ -120,25 +134,25 @@ func TestCorrectMaskEdgeCases(t *testing.T) {
 			MissingPrefix: 3,
 			Decisions:     []phy.Decision{{Symbol: 4}, {Symbol: 5}, {Symbol: 6}},
 		}
-		want := []bool{false, false, false, true}
-		if got := o.CorrectMask(); !reflect.DeepEqual(got, want) {
-			t.Errorf("mask %v, want %v", got, want)
+		if got, want := errorNibbles(t, o), []byte{0xF, 0xF, 0xF, 0}; !reflect.DeepEqual(got, want) {
+			t.Errorf("errors %x, want %x", got, want)
 		}
 	})
 
 	t.Run("no decisions", func(t *testing.T) {
-		o := &Outcome{TruthSyms: truth}
-		for i, ok := range o.CorrectMask() {
-			if ok {
-				t.Errorf("symbol %d marked correct with no decisions", i)
-			}
+		// An empty outcome: every symbol undecoded. 20 symbols span two
+		// words, so the pattern's tail is masked to its length.
+		o := &Outcome{TruthSyms: make([]byte, 20)}
+		pat := o.ErrorPattern()
+		if pat.Len() != 80 || pat.OnesCount() != 80 {
+			t.Errorf("%d of %d chips set, want all 80", pat.OnesCount(), pat.Len())
 		}
 	})
 
 	t.Run("empty truth", func(t *testing.T) {
 		o := &Outcome{Decisions: []phy.Decision{{Symbol: 1}}}
-		if mask := o.CorrectMask(); len(mask) != 0 {
-			t.Errorf("mask %v for empty truth", mask)
+		if pat := o.ErrorPattern(); pat.Len() != 0 {
+			t.Errorf("pattern of %d chips for empty truth", pat.Len())
 		}
 	})
 }

@@ -27,6 +27,7 @@ package sim
 
 import (
 	"context"
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -352,17 +353,23 @@ type Outcome struct {
 	TruthSyms []byte
 }
 
-// CorrectMask returns per-symbol correctness over the whole payload
-// (missing prefix symbols are incorrect by definition).
-func (o *Outcome) CorrectMask() []bool {
-	mask := make([]bool, len(o.TruthSyms))
-	for i, d := range o.Decisions {
-		idx := o.MissingPrefix + i
-		if idx < len(mask) {
-			mask[idx] = d.Symbol == o.TruthSyms[idx]
+// ErrorPattern returns the payload's coded-bit error pattern: four chips
+// per symbol, symbol bit 0 first, each symbol's decoded value XOR its true
+// value, and all ones where the receiver never decoded the symbol (missing
+// prefix, truncated reception). A clear nibble is a correct symbol. Every
+// recovery scheme scores the outcome from this one packed stream.
+func (o *Outcome) ErrorPattern() *bitutil.ChipWords {
+	n := len(o.TruthSyms)
+	words := make([]uint64, (n+15)/16)
+	for idx, truth := range o.TruthSyms {
+		e := byte(0xF)
+		if di := idx - o.MissingPrefix; di >= 0 && di < len(o.Decisions) {
+			e = (o.Decisions[di].Symbol ^ truth) & 0xF
 		}
+		// Chips pack MSB-first, so bit 0 goes to the nibble's top bit.
+		words[idx/16] |= uint64(bits.Reverse8(e)>>4) << uint(60-4*(idx%16))
 	}
-	return mask
+	return bitutil.ChipWordsOf(words).Slice(0, 4*n)
 }
 
 // Deliver scores every link under two receivers (Sec. 4, Sec. 7.2): the

@@ -144,24 +144,21 @@ func TestOutcomeCorrectnessAgainstTruth(t *testing.T) {
 		if !o.Acquired {
 			continue
 		}
-		mask := o.CorrectMask()
-		if len(mask) != len(o.TruthSyms) {
-			t.Fatal("mask length mismatch")
-		}
+		nibbles := errorNibbles(t, &o)
 		nCorrect := 0
-		for _, ok := range mask {
-			if ok {
+		for _, e := range nibbles {
+			if e == 0 {
 				nCorrect++
 			}
 		}
 		if nCorrect > 0 {
 			sawCorrect = true
 		}
-		if nCorrect < len(mask) {
+		if nCorrect < len(nibbles) {
 			sawIncorrect = true
 		}
 		// CRC-verified receptions must be entirely correct.
-		if o.CRCOK && nCorrect != len(mask) {
+		if o.CRCOK && nCorrect != len(nibbles) {
 			t.Fatal("CRC-verified packet has incorrect symbols")
 		}
 	}
