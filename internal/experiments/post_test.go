@@ -115,3 +115,44 @@ func TestPostCopiedTraceScoresIdentically(t *testing.T) {
 		}
 	}
 }
+
+// TestFanOutRunsEveryIndexOnce pins fanOut's contract (run it under
+// -race): every index of [0, n) runs exactly once for any worker count, in
+// calls of at most 64 indices unless one worker takes everything; with at
+// least 64 indices per worker, every call starts at a multiple of 64, so
+// no no-postamble/postamble twin pair straddles two calls; and 48 items on
+// 2 workers (Fig. 17's cells) run as two calls of 24.
+func TestFanOutRunsEveryIndexOnce(t *testing.T) {
+	for _, n := range []int{0, 1, 47, 48, 64, 65, 129, 5204} {
+		for _, workers := range []int{0, 1, 2, 3, 8} {
+			runs := make([]int, n)
+			var mu sync.Mutex
+			var calls [][2]int
+			fanOut(n, workers, func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					runs[i]++ // each index belongs to one call
+				}
+				mu.Lock()
+				calls = append(calls, [2]int{lo, hi})
+				mu.Unlock()
+			})
+			for i, r := range runs {
+				if r != 1 {
+					t.Fatalf("n=%d workers=%d: index %d ran %d times", n, workers, i, r)
+				}
+			}
+			for _, c := range calls {
+				lo, hi := c[0], c[1]
+				if lo >= hi || hi-lo > 64 && len(calls) > 1 {
+					t.Errorf("n=%d workers=%d: call [%d, %d) is empty or longer than 64", n, workers, lo, hi)
+				}
+				if workers > 0 && n >= 64*workers && lo%64 != 0 {
+					t.Errorf("n=%d workers=%d: call [%d, %d) does not start a 64-chunk", n, workers, lo, hi)
+				}
+				if n == 48 && workers == 2 && hi-lo != 24 {
+					t.Errorf("48 items on 2 workers ran as %v, want two calls of 24", calls)
+				}
+			}
+		}
+	}
+}

@@ -234,35 +234,123 @@ func Decode(coded []byte) (Result, error) {
 	return res, nil
 }
 
-// cleanMetrics[t] is the path-metric vector after t error-free steps from
-// the trellis start, up to the step where it stops changing (a fixed point
-// of the error-free ACS): Repairs starts a damaged block at its first error
-// from cleanMetrics[min(t, len−1)] instead of replaying the clean prefix.
-var cleanMetrics [][numStates]int32
+// Repairs runs the trellis on eight-bit path metrics, eight states per
+// uint64 (lanes), updated in place. At step t, state s lives at location
+// rotl₆(s, t mod 6): byte l%8 of word l/8 holds location l. Predecessors
+// 2j and 2j+1 then sit at the two locations that differ in bit k = t mod 6,
+// and so do their successors j and j+32 at step t+1 (rotl₆(2j, k) =
+// rotl₆(j, k+1), and the successor's top bit rotates into bit k). So the
+// new metric at every location is min(M + A, partner(M) + (2 − A)), where
+// partner swaps the locations differing in bit k (bytes, 16-bit or 32-bit
+// halves of a word for k < 3, whole words for k ≥ 3) and A holds, at each
+// location, its butterfly's butterflyBM value: 8 words of adds, swaps and
+// SWAR compares per step instead of 32 scalar butterflies.
+//
+// Eight bits are exact. Once K−1 steps have run from the trellis start,
+// every state is reachable from the best state of K−1 steps earlier by K−1
+// branches of cost at most 2, so every metric lies in [min, min+12]. Once
+// per K−1-step cycle Repairs subtracts metric[0] − 12 from every lane when
+// that is positive (metric[0] ≥ min keeps every lane non-negative), and
+// lanes then stay at most 38. Before that, states the start cannot reach
+// yet hold unreachableLane instead of Decode's MaxInt32/2. No reachable
+// metric of the warm-up exceeds 12, so a capped state never wins a
+// comparison it would lose uncapped, and it never grows past 114 (100 plus
+// K−1 branches of 2) before every state is reachable. Lanes thus stay
+// below 128, where the SWAR compare is exact. Only the strict comparison at state 0 reads metric
+// values, and both the offset and the cap preserve its outcome, so Repairs
+// answers exactly as Decode's int32 metrics would.
+const (
+	laneWords = numStates / 8
+	laneOnes  = 0x0101010101010101
+	laneHigh  = 0x8080808080808080
+	// laneSpread bounds max − min of a fully reachable metric vector.
+	laneSpread = 2 * (K - 1)
+	// unreachableLane marks a state the trellis start cannot reach yet.
+	unreachableLane = 100
+)
+
+// lanes holds the 64 path metrics at one step, a byte each.
+type lanes [laneWords]uint64
+
+// laneBM[k][rx] holds A and 2 − A at rotation k on the branch symbol rx:
+// at every location, butterflyBM[rx][j] of the butterfly {2j, 2j+1} the
+// location belongs to, and its complement.
+var laneBM [K - 1][4][2]lanes
+
+// cleanLanes[t] is the metric vector after t error-free steps from the
+// trellis start, at rotation t mod 6, up to where the sequence repeats
+// itself K−1 steps later: Repairs starts a damaged block at its first
+// error from cleanLanes without replaying the clean prefix.
+var cleanLanes []lanes
 
 func init() {
-	var m [numStates]int32
-	for s := 1; s < numStates; s++ {
-		m[s] = math.MaxInt32 / 2 // trellis starts in state 0
+	for k := range laneBM {
+		for rx := range laneBM[k] {
+			for l := 0; l < numStates; l++ {
+				s := (l>>k | l<<(K-1-k)) & (numStates - 1) // rotr₆(l, k)
+				bm := butterflyBM[rx][s>>1]
+				laneBM[k][rx][0][l/8] |= uint64(bm) << (8 * (l % 8))
+				laneBM[k][rx][1][l/8] |= uint64(2-bm) << (8 * (l % 8))
+			}
+		}
 	}
-	for len(cleanMetrics) == 0 || m != cleanMetrics[len(cleanMetrics)-1] {
-		cleanMetrics = append(cleanMetrics, m)
-		acsStep(&m, &cleanMetrics[len(cleanMetrics)-1], 0)
+	var m lanes
+	for w := range m {
+		m[w] = unreachableLane * laneOnes
+	}
+	m[0] &^= 0xFF // the trellis starts in state 0
+	for t := 0; t < K-1 || m != cleanLanes[t-(K-1)]; t++ {
+		cleanLanes = append(cleanLanes, m)
+		m.step(t%(K-1), 0)
 	}
 }
 
-// acsStep writes into next the path metrics after one of Decode's
-// butterfly ACS steps on the received branch symbol rx, keeping only the
-// metrics; like Decode, it serves the K−1 warm-up steps too.
-func acsStep(next, metric *[numStates]int32, rx uint64) {
-	bm := &butterflyBM[rx&0b11]
-	for j := 0; j < numStates/2; j++ {
-		m0, m1 := metric[2*j], metric[2*j+1]
-		a := bm[j]
-		c := 2 - a
-		next[j] = min(m0+a, m1+c)
-		next[j+numStates/2] = min(m0+c, m1+a)
+// laneMin returns the lanewise min(x, y) of lanes below 128.
+func laneMin(x, y uint64) uint64 {
+	le := ((y | laneHigh) - x) & laneHigh // lanes where x ≤ y
+	return y ^ (x^y)&(le-le>>7|le)
+}
+
+// step runs one ACS step at rotation k on the branch symbol rx, in place,
+// and reports whether state 0 keeps its p0 predecessor: location 0 holds
+// state 0 (p0), so it does iff its new lane is its old lane plus A.
+func (m *lanes) step(k int, rx uint64) bool {
+	a, b := &laneBM[k][rx][0], &laneBM[k][rx][1]
+	x0 := byte(m[0] + a[0])
+	switch k {
+	case 0:
+		for w, v := range m {
+			m[w] = laneMin(v+a[w], (v&0x00FF00FF00FF00FF)<<8|(v>>8)&0x00FF00FF00FF00FF+b[w])
+		}
+	case 1:
+		for w, v := range m {
+			m[w] = laneMin(v+a[w], (v&0x0000FFFF0000FFFF)<<16|(v>>16)&0x0000FFFF0000FFFF+b[w])
+		}
+	case 2:
+		for w, v := range m {
+			m[w] = laneMin(v+a[w], bits.RotateLeft64(v, 32)+b[w])
+		}
+	default: // partners are whole words
+		d, p := 1<<(k-3), *m
+		for w := range m {
+			m[w] = laneMin(p[w]+a[w], p[(w^d)&(laneWords-1)]+b[w])
+		}
 	}
+	return byte(m[0]) == x0
+}
+
+// normalize subtracts metric[0] − laneSpread from every lane when that is
+// positive, and returns what it subtracted. Once every state is reachable,
+// no lane lies below metric[0] − laneSpread.
+func (m *lanes) normalize() int {
+	d := int(m[0]&0xFF) - laneSpread
+	if d <= 0 {
+		return 0
+	}
+	for i := range m {
+		m[i] -= uint64(d) * laneOnes
+	}
+	return d
 }
 
 // Repairs reports whether hard-decision Viterbi decoding of the coded
@@ -278,14 +366,14 @@ func acsStep(next, metric *[numStates]int32, rx uint64) {
 // that data bit decodes to 1 — the zero tail cannot absorb it. The decoded
 // data is therefore all zeros iff state 0 keeps its p0 predecessor at every
 // step, and Repairs stops at the first step where it would not. It runs the
-// same ACS recursion as Decode with no survivors, margins, traceback or
-// reliability pass, and allocates nothing.
+// same ACS recursion as Decode, on lanes (see above), with no survivors,
+// margins, traceback or reliability pass, and allocates nothing.
 //
 // Error-free steps cannot move the traceback off state 0 (its p0 metric
 // stays 0 while p1 costs at least 2), so a range with no set chip returns
 // true before any trellis work, and a damaged one starts at the branch of
-// its first set chip from cleanMetrics. Branch symbols come off one
-// 64-chip window per 32 steps: chips pack MSB-first, so w>>62 is a branch.
+// its first set chip from cleanLanes. Branch symbols come off one 64-chip
+// window per 32 steps: chips pack MSB-first, so w>>62 is a branch.
 func Repairs(coded *bitutil.ChipWords, lo, hi int) bool {
 	if (hi-lo)%Rate != 0 || (hi-lo)/Rate < K-1 {
 		return false
@@ -298,55 +386,31 @@ func Repairs(coded *bitutil.ChipWords, lo, hi int) bool {
 	steps := mRepairSteps.Get()
 	nBranches := (hi - lo) / Rate
 	t0 := (first - lo) / Rate
-	ma, mb := cleanMetrics[min(t0, len(cleanMetrics)-1)], [numStates]int32{}
-	metric, next := &ma, &mb
-	var w uint64
-	for t := t0; t < nBranches; t++ {
-		if (t-t0)%(64/Rate) == 0 {
-			w = coded.Peek64(lo + Rate*t)
+	k := t0 % (K - 1)
+	var m lanes
+	if n := len(cleanLanes); t0 < n {
+		m = cleanLanes[t0]
+	} else {
+		m = cleanLanes[n-(K-1)+(t0-n)%(K-1)] // the same rotation as t0
+	}
+	for t := t0; t < nBranches; {
+		w := coded.Peek64(lo + Rate*t)
+		for end := min(t+64/Rate, nBranches); t < end; t++ {
+			if k == 0 {
+				m.normalize()
+			}
+			if !m.step(k, w>>62) {
+				steps.Add(int64(t + 1 - t0))
+				return false
+			}
+			w <<= 2
+			if k++; k == K-1 {
+				k = 0
+			}
 		}
-		rx := w >> 62
-		w <<= 2
-		// State 0 is butterfly 0's first successor: p0 = 0 via a, p1 = 1
-		// via 2−a. A strict p1 win sends the traceback out of state 0
-		// (never during the warm-up, while state 1 is unreachable).
-		if a := butterflyBM[rx][0]; metric[1]+2-a < metric[0]+a {
-			steps.Add(int64(t + 1 - t0))
-			return false
-		}
-		acsStep(next, metric, rx)
-		metric, next = next, metric
 	}
 	steps.Add(int64(nBranches - t0))
 	return true
-}
-
-// BitsFromBytes explodes bytes into bits, LSB first per byte (matching the
-// symbol ordering of the rest of the stack). The output is allocated at its
-// final length and written by index — one allocation, no append churn.
-func BitsFromBytes(data []byte) []byte {
-	out := make([]byte, len(data)*8)
-	for i, b := range data {
-		for j := 0; j < 8; j++ {
-			out[i*8+j] = b >> uint(j) & 1
-		}
-	}
-	return out
-}
-
-// BytesFromBits packs bits (LSB first) into bytes; the bit count must be a
-// multiple of 8.
-func BytesFromBits(bitsIn []byte) []byte {
-	if len(bitsIn)%8 != 0 {
-		panic(fmt.Sprintf("fec: %d bits not a whole byte count", len(bitsIn)))
-	}
-	out := make([]byte, len(bitsIn)/8)
-	for i, b := range bitsIn {
-		if b&1 != 0 {
-			out[i/8] |= 1 << uint(i%8)
-		}
-	}
-	return out
 }
 
 // maxReliability anchors DecisionsFromResult's hint scale: a symbol's hint

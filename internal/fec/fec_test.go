@@ -333,26 +333,130 @@ func TestHintMonotonicityAcrossNoise(t *testing.T) {
 	}
 }
 
-// TestCleanMetricsFixedPoint pins the table Repairs starts damaged blocks
-// from: it is tiny, every step is one error-free ACS step from the last,
-// and its final vector is a fixed point, so any later first error may
-// start from it.
-func TestCleanMetricsFixedPoint(t *testing.T) {
-	if n := len(cleanMetrics); n < K || n > 16 {
-		t.Fatalf("%d clean metric vectors, want between K and 16", n)
+// scalarStep is one of Decode's butterfly ACS steps on int32 metrics,
+// keeping only the metrics: the reference the lane trellis is held to.
+func scalarStep(metric *[numStates]int32, rx int) {
+	var next [numStates]int32
+	bm := &butterflyBM[rx]
+	for j := 0; j < numStates/2; j++ {
+		m0, m1, a := metric[2*j], metric[2*j+1], bm[j]
+		next[j] = min(m0+a, m1+2-a)
+		next[j+numStates/2] = min(m0+2-a, m1+a)
 	}
-	for i := 1; i < len(cleanMetrics); i++ {
-		var next [numStates]int32
-		acsStep(&next, &cleanMetrics[i-1], 0)
-		if next != cleanMetrics[i] {
-			t.Fatalf("cleanMetrics[%d] is not one clean step from [%d]", i, i-1)
+	*metric = next
+}
+
+// unpack reads the lane vector m at rotation k back into state order.
+func (m *lanes) unpack(k int) [numStates]int32 {
+	var out [numStates]int32
+	for s := 0; s < numStates; s++ {
+		l := (s<<k | s>>(K-1-k)) & (numStates - 1) // rotl₆(s, k)
+		out[s] = int32(m[l/8] >> (8 * (l % 8)) & 0xFF)
+	}
+	return out
+}
+
+// TestCleanMetricsFixedPoint pins the table Repairs starts damaged blocks
+// from: it is tiny, every entry is one error-free lane step from the last,
+// the step after the final entry repeats the entry K−1 before it (so any
+// later first error may start from one of the last K−1), and unpacked, each
+// entry equals Decode's int32 metrics wherever the start reaches and holds
+// at least unreachableLane where it does not.
+func TestCleanMetricsFixedPoint(t *testing.T) {
+	n := len(cleanLanes)
+	if n < 2*(K-1) || n > 24 {
+		t.Fatalf("%d clean lane vectors, want between 2(K−1) and 24", n)
+	}
+	var ref [numStates]int32
+	for s := 1; s < numStates; s++ {
+		ref[s] = math.MaxInt32 / 2 // trellis starts in state 0
+	}
+	for i := 0; i < n; i++ {
+		got := cleanLanes[i].unpack(i % (K - 1))
+		for s := range got {
+			reachable := ref[s] < math.MaxInt32/4
+			if reachable && got[s] != ref[s] || !reachable && got[s] < unreachableLane {
+				t.Fatalf("cleanLanes[%d] state %d = %d, int32 trellis %d", i, s, got[s], ref[s])
+			}
+		}
+		next := cleanLanes[i]
+		if !next.step(i%(K-1), 0) {
+			t.Fatalf("clean step %d moved state 0 off its p0 predecessor", i)
+		}
+		if i+1 < n && next != cleanLanes[i+1] {
+			t.Fatalf("cleanLanes[%d] is not one clean step from [%d]", i+1, i)
+		}
+		if i+1 == n && next != cleanLanes[n-(K-1)] {
+			t.Errorf("the step after cleanLanes[%d] is not cleanLanes[%d]", n-1, n-(K-1))
+		}
+		scalarStep(&ref, 0)
+	}
+	t.Logf("%d clean lane vectors", n)
+}
+
+// laneParity steps the lane trellis and Decode's int32 metrics side by
+// side from the trellis start over the branch symbols rxs, normalising as
+// Repairs does: after each step the lanes, unpacked, must equal the int32
+// metrics minus the offset subtracted so far (states the start cannot reach
+// yet must stay at or above unreachableLane), and state 0's p0 verdict
+// must agree. It returns the total offset.
+func laneParity(t *testing.T, rxs []int) int32 {
+	t.Helper()
+	m := cleanLanes[0]
+	var ref [numStates]int32
+	for s := 1; s < numStates; s++ {
+		ref[s] = math.MaxInt32 / 2
+	}
+	offset := int32(0)
+	for step, rx := range rxs {
+		k := step % (K - 1)
+		if k == 0 {
+			offset += int32(m.normalize())
+		}
+		a := butterflyBM[rx][0]
+		wantKeep := !(ref[1]+2-a < ref[0]+a)
+		if keep := m.step(k, uint64(rx)); keep != wantKeep {
+			t.Fatalf("branches %v, step %d: lane keep %v, int32 %v", rxs[:step+1], step, keep, wantKeep)
+		}
+		scalarStep(&ref, rx)
+		got := m.unpack((step + 1) % (K - 1))
+		for s := range got {
+			if ref[s] >= math.MaxInt32/4 {
+				if got[s] < unreachableLane {
+					t.Fatalf("branches %v: unreachable state %d reads %d", rxs[:step+1], s, got[s])
+				}
+			} else if got[s]+offset != ref[s] {
+				t.Fatalf("branches %v, state %d: lane %d + offset %d, int32 %d", rxs[:step+1], s, got[s], offset, ref[s])
+			}
 		}
 	}
-	last := len(cleanMetrics) - 1
-	var next [numStates]int32
-	acsStep(&next, &cleanMetrics[last], 0)
-	if next != cleanMetrics[last] {
-		t.Errorf("cleanMetrics[%d] is not a fixed point", last)
+	return offset
+}
+
+// TestLaneStepMatchesScalar holds the lane trellis to Decode's int32
+// metrics: over every branch sequence of the warm-up (K−1 steps, where
+// capped unreachable states meet reachable ones) and one step past it, and
+// over long random runs, sparse ones taking metric[0] past 255 through
+// the normalisation.
+func TestLaneStepMatchesScalar(t *testing.T) {
+	rxs := make([]int, K)
+	for code := 0; code < 1<<(2*K); code++ {
+		for i := range rxs {
+			rxs[i] = code >> (2 * i) & 0b11
+		}
+		laneParity(t, rxs)
 	}
-	t.Logf("%d clean metric vectors", len(cleanMetrics))
+	rng := stats.NewRNG(26)
+	rxs = make([]int, 2400)
+	for trial := 0; trial < 100; trial++ {
+		for i := range rxs {
+			rxs[i] = rng.Intn(4)
+			if trial%2 == 0 && rng.Intn(4) != 0 {
+				rxs[i] = 0 // sparse errors: metric[0] climbs slowly
+			}
+		}
+		if offset := laneParity(t, rxs); offset <= 255 {
+			t.Fatalf("trial %d: offset %d, want metric[0] past 255", trial, offset)
+		}
+	}
 }

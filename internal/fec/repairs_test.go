@@ -238,6 +238,60 @@ func TestRepairsMatchesDecodeRandom(t *testing.T) {
 	if repaired < 100 || lost < 100 {
 		t.Errorf("sweep missed the boundary: %d repaired, %d lost", repaired, lost)
 	}
+
+	// Long ranges with sparse errors: the all-zero path's metric climbs
+	// past what eight bits hold, so the lane trellis must renormalise.
+	for i := 0; i < 12; i++ {
+		n := 12000 + 2*rng.Intn(6000)
+		pat := sparse(rng, n, 30+rng.Intn(10))
+		if w := weight(pat); w <= 255 {
+			t.Fatalf("long sparse pattern %d: weight %d, want past 255", i, w)
+		}
+		if i%3 == 2 { // and a loss after the metrics have climbed
+			start := n - 400 + rng.Intn(300)
+			for j := start; j < start+24; j++ {
+				pat[j] = 1
+			}
+		}
+		if got := assertRepairsParity(t, "long sparse", pat); got != (i%3 != 2) {
+			t.Errorf("long sparse pattern %d (%d chips): repaired %v", i, n, got)
+		}
+	}
+
+	// First errors at every phase of the lane rotation, and past the
+	// clean-metric table, on both sides of the boundary.
+	for t0 := 0; t0 < 48; t0++ {
+		for trial := 0; trial < 12; trial++ {
+			pat := make([]byte, blockCoded)
+			pat[2*t0+rng.Intn(2)] = 1
+			for j := 2*t0 + 2; j < blockCoded; j++ {
+				if rng.Bool(0.04 * float64(trial%4)) {
+					pat[j] = 1
+				}
+			}
+			assertRepairsParity(t, "first-error phase", pat)
+		}
+	}
+
+	// All-ones ranges of every length up to a few blocks' worth of steps.
+	for nb := fec.K - 1; nb <= 120; nb++ {
+		ones := make([]byte, nb*fec.Rate)
+		for j := range ones {
+			ones[j] = 1
+		}
+		assertRepairsParity(t, "all-ones", ones)
+	}
+}
+
+// sparse returns an n-chip pattern with single errors gap to gap+7 chips
+// apart (gap ≥ 30): each alone in its decoding window, so Viterbi repairs
+// every one and the all-zero path's metric counts them all.
+func sparse(rng *stats.RNG, n, gap int) []byte {
+	pat := make([]byte, n)
+	for p := rng.Intn(gap); p < n; p += gap + rng.Intn(8) {
+		pat[p] = 1
+	}
+	return pat
 }
 
 // TestRepairsCountersAndAllocs pins the metric contract: fec.repair_blocks
@@ -303,6 +357,24 @@ func FuzzRepairsParity(f *testing.F) {
 		}
 	}
 	f.Add(tie)
+	// A long sparse range (the metrics climb past eight bits), the same with
+	// a late loss, first errors at each phase of the lane rotation and past
+	// the clean-metric table, and an all-ones range.
+	long := sparse(stats.NewRNG(12), 12400, 36)
+	f.Add(long)
+	lost := append([]byte(nil), long...)
+	for i := 12000; i < 12030; i++ {
+		lost[i] = 1
+	}
+	f.Add(lost)
+	for _, t0 := range []int{1, 2, 3, 4, 5, 30} {
+		f.Add(withErrors(blockCoded, 2*t0+1, 2*t0+9, 2*t0+10, 2*t0+11, 2*t0+30))
+	}
+	ones := make([]byte, 600)
+	for i := range ones {
+		ones[i] = 1
+	}
+	f.Add(ones)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<14 {
 			data = data[:1<<14]

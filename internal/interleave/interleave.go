@@ -44,37 +44,78 @@ func (b Block) Size() int { return b.rows * b.cols }
 // stream. The transmitter writes each rows×cols tile row-major and reads
 // it onto the channel column-major, so in channel order tile column c is
 // rows consecutive chips, and chip r of it returns to tile position
-// r·cols + c. A trailing run shorter than one tile was sent uninterleaved
-// and is copied through. Only set chips move: one NextSet scan finds each,
-// and the column and tile cursors advance by addition, so an error pattern
-// costs time in proportion to its words and its errors.
+// r·cols + c: deinterleaving a tile transposes a cols×rows bit matrix.
+//
+// It does so by 32×32 bit transposes, two side by side in the halves of
+// one [32]uint64. A block of up to 32 rows and 64 columns loads each
+// column's run of rows as the high (first 32 columns) or low half of a
+// word, chip r at bit 31 − r of the half. After the transpose, word j
+// holds row j's chips of those columns in channel order, and one OR puts
+// them into the output. Partial blocks at the tile's edges load zeros for
+// their missing rows and columns, so any geometry takes this one path. A
+// tile with no set chip is skipped before any of this, and so is a block
+// whose columns load as zero. A trailing run shorter than one tile was
+// sent uninterleaved and is copied through.
 func (b Block) Deinterleave(chips *bitutil.ChipWords) *bitutil.ChipWords {
-	n := chips.Len()
-	m := n / b.Size() * b.Size()
-	out := bitutil.NewChipWords(n)
-	tile, col, c := 0, 0, 0 // tile start, column start, column index
-	for p := chips.NextSet(0, m); p < m; p = chips.NextSet(p+1, m) {
-		for p >= col+b.rows {
-			col += b.rows
-			if c++; c == b.cols {
-				tile, c = col, 0
+	n, size := chips.Len(), b.Size()
+	m := n / size * size
+	words := make([]uint64, (n+63)/64)
+	var blk [32]uint64
+	for tile := 0; tile < m; tile += size {
+		if chips.NextSet(tile, tile+size) == tile+size {
+			continue
+		}
+		for r0 := 0; r0 < b.rows; r0 += 32 {
+			rowMask := ^uint64(0) << (64 - min(32, b.rows-r0))
+			for c0 := 0; c0 < b.cols; c0 += 64 {
+				blk = [32]uint64{}
+				var set uint64
+				off := tile + c0*b.rows + r0 // column c0's run
+				for i := range min(64, b.cols-c0) {
+					run := chips.Peek64(off) & rowMask
+					blk[i%32] |= run >> (32 * (i / 32))
+					set |= run
+					off += b.rows
+				}
+				if set == 0 {
+					continue
+				}
+				transpose32x2(&blk)
+				for j := range min(32, b.rows-r0) {
+					orChips(words, tile+(r0+j)*b.cols+c0, blk[j])
+				}
 			}
 		}
-		out.SetBit(tile+(p-col)*b.cols+c, 1)
 	}
+	out := bitutil.ChipWordsOf(words).Slice(0, n)
 	out.CopyFrom(m, chips, m, n-m)
 	return out
 }
 
-// Pad returns data extended with zeros to the next multiple of Size(),
-// and the original length for truncation after deinterleaving.
-func (b Block) Pad(data []byte) (padded []byte, origLen int) {
-	origLen = len(data)
-	rem := len(data) % b.Size()
-	if rem == 0 {
-		return data, origLen
+// transpose32x2 transposes the two 32×32 bit matrices held in the high and
+// the low halves of a, row i in a[i] and column j at bit 31 − j of the
+// half: five rounds that swap the off-diagonal halves of ever smaller
+// blocks (Hacker's Delight, 2nd ed., 7–3), on both matrices at once. A
+// shift that carries bits across the halves lands them where the round's
+// mask is zero.
+func transpose32x2(a *[32]uint64) {
+	m := uint64(0x0000FFFF0000FFFF)
+	for j := 16; j != 0; j, m = j>>1, m^m<<(j>>1) {
+		for k := 0; k < 32; k = (k + j + 1) &^ j {
+			t := (a[k] ^ a[k+j]>>j) & m
+			a[k] ^= t
+			a[k+j] ^= t << j
+		}
 	}
-	padded = make([]byte, len(data)+b.Size()-rem)
-	copy(padded, data)
-	return padded, origLen
+}
+
+// orChips ORs the 64 chips of v (chip 0 at bit 63) into the packed stream
+// words at chip offset off. A chip of v past the stream's end is never
+// set, so the second word is touched only when it exists.
+func orChips(words []uint64, off int, v uint64) {
+	sh := uint(off % 64)
+	words[off/64] |= v >> sh
+	if spill := v << (64 - sh); spill != 0 {
+		words[off/64+1] |= spill
+	}
 }

@@ -69,12 +69,21 @@ func TestInterleaveIsPermutation(t *testing.T) {
 }
 
 // TestDeinterleaveMatchesReference checks the packed deinterleaver against
-// the byte-per-bit reference on the default 32×48 geometry, rows above 64,
-// rows that do not divide 64, trailing partial tiles and clean, sparse,
-// bursty and dense patterns.
+// the byte-per-bit reference: rows and columns below, at and above the
+// 32×32 transpose block (so partial blocks at every edge), the default
+// 32×48 geometry among them; streams of no tile, a tile less a chip
+// (copied through), whole tiles and trailing partial tiles; and clean,
+// sparse plus a burst, half-set and all-ones patterns.
 func TestDeinterleaveMatchesReference(t *testing.T) {
 	rng := stats.NewRNG(24)
-	for _, geom := range [][2]int{{32, 48}, {96, 5}, {70, 3}, {24, 7}, {5, 3}, {1, 1}, {16, 32}} {
+	var geoms [][2]int
+	for _, rows := range []int{1, 7, 31, 32, 33, 64, 70, 96} {
+		for _, cols := range []int{1, 31, 32, 48, 65} {
+			geoms = append(geoms, [2]int{rows, cols})
+		}
+	}
+	geoms = append(geoms, [2]int{96, 5}, [2]int{70, 3}, [2]int{24, 7}, [2]int{5, 3}, [2]int{16, 32})
+	for _, geom := range geoms {
 		b := New(geom[0], geom[1])
 		for _, n := range []int{0, b.Size() - 1, b.Size(), 2*b.Size() + 17, 3 * b.Size()} {
 			for _, density := range []float64{0, 0.01, 0.5, 1} {
@@ -120,6 +129,20 @@ func TestBurstSpreading(t *testing.T) {
 			t.Fatalf("errors %d and %d only %d apart (rows=%d)", errPos[i-1], errPos[i], gap, b.rows)
 		}
 	}
+}
+
+// Pad returns data extended with zeros to the next multiple of Size(),
+// and the original length for truncation after deinterleaving: the
+// byte-per-bit transmitter side the tests interleave with refPermute.
+func (b Block) Pad(data []byte) (padded []byte, origLen int) {
+	origLen = len(data)
+	rem := len(data) % b.Size()
+	if rem == 0 {
+		return data, origLen
+	}
+	padded = make([]byte, len(data)+b.Size()-rem)
+	copy(padded, data)
+	return padded, origLen
 }
 
 func TestPad(t *testing.T) {
