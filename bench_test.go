@@ -444,9 +444,9 @@ func BenchmarkAblationThreshold(b *testing.B) {
 	truth := make([]bool, len(ds))
 	for i := range ds {
 		if rng.Bool(0.2) {
-			ds[i] = phy.Decision{Symbol: 1, Hint: float64(6 + rng.Intn(20))}
+			ds[i] = phy.Decision{Symbol: 1, Hint: uint8(6 + rng.Intn(20))}
 		} else {
-			ds[i] = phy.Decision{Symbol: 1, Hint: float64(rng.Intn(3))}
+			ds[i] = phy.Decision{Symbol: 1, Hint: uint8(rng.Intn(3))}
 			truth[i] = true
 		}
 	}
@@ -466,7 +466,7 @@ func BenchmarkAblationThreshold(b *testing.B) {
 			// Feed back a slice of verified outcomes, as PP-ARQ would.
 			for k := 0; k < 64; k++ {
 				idx := (i*64 + k) % len(ds)
-				ad.Observe(ds[idx].Hint, truth[idx])
+				ad.Observe(float64(ds[idx].Hint), truth[idx])
 			}
 			if len(labels) != len(ds) {
 				b.Fatal("bad labels")
@@ -475,31 +475,24 @@ func BenchmarkAblationThreshold(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationDecoder compares the three SoftPHY hint sources on the
+// BenchmarkAblationDecoder compares the SoftPHY hint sources on the
 // despreading hot path.
 func BenchmarkAblationDecoder(b *testing.B) {
 	rng := stats.NewRNG(3)
-	obs := make([]phy.Observation, 256)
-	for i := range obs {
+	words := make([]uint32, 256)
+	for i := range words {
 		cw := chipseq.Codeword(byte(rng.Intn(16)))
-		soft := make([]float64, 32)
 		for j := 0; j < 32; j++ {
-			v := 1.0
-			if chipseq.ChipAt(cw, j) == 0 {
-				v = -1.0
-			}
 			if rng.Bool(0.05) {
-				v = -v
 				cw ^= 1 << uint(31-j)
 			}
-			soft[j] = v + rng.NormFloat64()*0.3
 		}
-		obs[i] = phy.Observation{Hard: cw, Soft: soft}
+		words[i] = cw
 	}
-	for _, dec := range []phy.Decoder{phy.HardDecoder{}, phy.SoftDecoder{}, phy.MatchedFilterDecoder{}} {
+	for _, dec := range []phy.Decoder{phy.HardDecoder{}, phy.MatchedFilterDecoder{}} {
 		b.Run(dec.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				d := dec.Decode(obs[i%len(obs)])
+				d := dec.Decode(words[i%len(words)])
 				if d.Symbol > 15 {
 					b.Fatal("bad symbol")
 				}

@@ -60,7 +60,7 @@ func main() {
 				if d.Symbol == out.TruthSyms[idx] {
 					correct = 1
 				}
-				fmt.Fprintf(w, "%d,%d,%s,%d,%g,%d\n", out.Src, out.Receiver, out.Kind, idx, d.Hint, correct)
+				fmt.Fprintf(w, "%d,%d,%s,%d,%d,%d\n", out.Src, out.Receiver, out.Kind, idx, d.Hint, correct)
 			}
 		}
 	case "links":

@@ -7,7 +7,6 @@ import (
 	"ppr/internal/baseline"
 	"ppr/internal/chipseq"
 	"ppr/internal/core/combine"
-	"ppr/internal/phy"
 	"ppr/internal/stats"
 )
 
@@ -93,7 +92,7 @@ func ExampleNewAdaptiveThreshold() {
 		for i := 0; i < 4000; i++ {
 			sym := byte(rng.Intn(16))
 			d := dec.Decode(observe(rng, sym, rng.Bool(0.25)))
-			ad.Observe(d.Hint, d.Symbol == sym)
+			ad.Observe(float64(d.Hint), d.Symbol == sym)
 		}
 		fmt.Printf("decoder %-4s learned eta = %-5.0f (miss %.3f, false alarm %.4f)\n",
 			dec.Name(), ad.Eta(), ad.MissRate(ad.Eta()), ad.FalseAlarmRate(ad.Eta()))
@@ -137,18 +136,18 @@ func ExampleNewAdaptiveThreshold() {
 	// after quiet again:         fragment size = 768 bytes
 }
 
-// observe produces a codeword observation for sym: clean chips at high SNR
-// or jammed (random) chips during interference.
-func observe(rng *stats.RNG, sym byte, jammed bool) phy.Observation {
+// observe produces the received chips of one codeword interval for sym:
+// clean chips at high SNR or jammed (random) chips during interference.
+func observe(rng *stats.RNG, sym byte, jammed bool) uint32 {
 	cw := chipseq.Codeword(sym)
 	if jammed {
-		return phy.Observation{Hard: uint32(rng.Uint64())}
+		return uint32(rng.Uint64())
 	}
 	// A couple of random chip errors.
 	for i := 0; i < rng.Intn(3); i++ {
 		cw ^= 1 << uint(rng.Intn(32))
 	}
-	return phy.Observation{Hard: cw}
+	return cw
 }
 
 // Multi-receiver combining, the multi-radio-diversity application the

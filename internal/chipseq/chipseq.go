@@ -33,10 +33,6 @@ const baseChips = "11011001110000110101001000101110"
 // bit position (31-i), so the binary representation reads in chip order.
 var codebook [NumSymbols]uint32
 
-// signedChips[s][i] is +1.0 for chip 1 and -1.0 for chip 0, precomputed for
-// the soft-decision correlation metric.
-var signedChips [NumSymbols][ChipsPerSymbol]float64
-
 // guessShift and guessBits select the chips NearestHard's guess reads:
 // chips 1–10 of the word. Their 16 projections are pairwise at least 3
 // apart (chips 0–7, the top byte, have two projections 1 apart), so one chip
@@ -72,15 +68,6 @@ func init() {
 	for s := 0; s < 8; s++ {
 		codebook[8+s] = codebook[s] ^ oddMask
 	}
-	for s := 0; s < NumSymbols; s++ {
-		for i := 0; i < ChipsPerSymbol; i++ {
-			if ChipAt(codebook[s], i) == 1 {
-				signedChips[s][i] = 1
-			} else {
-				signedChips[s][i] = -1
-			}
-		}
-	}
 	for w := range guess {
 		best := ChipsPerSymbol + 1
 		for s := 0; s < NumSymbols; s++ {
@@ -114,15 +101,6 @@ func Codeword(s byte) uint32 {
 // ChipAt extracts chip i (0 ≤ i < 32) from a codeword, returning 0 or 1.
 func ChipAt(cw uint32, i int) int {
 	return int(cw>>uint(31-i)) & 1
-}
-
-// Signed returns the ±1 representation of symbol s's chips, used as the
-// reference waveform in soft-decision decoding.
-func Signed(s byte) *[ChipsPerSymbol]float64 {
-	if s >= NumSymbols {
-		panic(fmt.Sprintf("chipseq: symbol %d out of range", s))
-	}
-	return &signedChips[s]
 }
 
 // NearestHard maps a hard-decided 32-chip word to the closest codeword and
@@ -188,43 +166,6 @@ func minU32(a, b uint32) uint32 {
 		return b
 	}
 	return a
-}
-
-// Correlate computes the soft-decision correlation metric of Eq. 1 between
-// received chip samples r (length 32) and symbol s's codeword:
-// C(R, Cs) = Σ_j (2c_sj − 1) r_j.
-func Correlate(r []float64, s byte) float64 {
-	if len(r) != ChipsPerSymbol {
-		panic(fmt.Sprintf("chipseq: Correlate needs %d samples, got %d", ChipsPerSymbol, len(r)))
-	}
-	ref := Signed(s)
-	var c float64
-	for j := 0; j < ChipsPerSymbol; j++ {
-		c += ref[j] * r[j]
-	}
-	return c
-}
-
-// NearestSoft picks the codeword with the highest correlation metric against
-// the received chip samples and also returns the runner-up correlation,
-// letting callers derive margin-based confidence hints.
-func NearestSoft(r []float64) (sym byte, best, runnerUp float64) {
-	if len(r) != ChipsPerSymbol {
-		panic(fmt.Sprintf("chipseq: NearestSoft needs %d samples, got %d", ChipsPerSymbol, len(r)))
-	}
-	best = -1e18
-	runnerUp = -1e18
-	for s := 0; s < NumSymbols; s++ {
-		c := Correlate(r, byte(s))
-		if c > best {
-			runnerUp = best
-			best = c
-			sym = byte(s)
-		} else if c > runnerUp {
-			runnerUp = c
-		}
-	}
-	return sym, best, runnerUp
 }
 
 // PairDistance returns the Hamming distance between the codewords of symbols

@@ -245,108 +245,6 @@ func TestNearestHardDistanceNeverExceedsErrors(t *testing.T) {
 	}
 }
 
-func TestCorrelatePerfect(t *testing.T) {
-	for s := byte(0); s < NumSymbols; s++ {
-		r := make([]float64, ChipsPerSymbol)
-		copy(r, Signed(s)[:])
-		if c := Correlate(r, s); c != ChipsPerSymbol {
-			t.Errorf("self-correlation of %d = %v, want %d", s, c, ChipsPerSymbol)
-		}
-	}
-}
-
-func TestCorrelateCrossBelowSelf(t *testing.T) {
-	for a := byte(0); a < NumSymbols; a++ {
-		r := make([]float64, ChipsPerSymbol)
-		copy(r, Signed(a)[:])
-		for b := byte(0); b < NumSymbols; b++ {
-			if a == b {
-				continue
-			}
-			if c := Correlate(r, b); c >= ChipsPerSymbol {
-				t.Errorf("cross-correlation C(%d,%d) = %v not below %d", a, b, c, ChipsPerSymbol)
-			}
-		}
-	}
-}
-
-func TestCorrelationDistanceIdentity(t *testing.T) {
-	// For ±1 samples, C(R, Cs) = 32 − 2·HammingDist(R, Cs).
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 100; trial++ {
-		var rx uint32
-		r := make([]float64, ChipsPerSymbol)
-		for i := range r {
-			if rng.Intn(2) == 1 {
-				r[i] = 1
-				rx |= 1 << uint(31-i)
-			} else {
-				r[i] = -1
-			}
-		}
-		for s := byte(0); s < NumSymbols; s++ {
-			wantC := float64(ChipsPerSymbol - 2*popcount(rx^Codeword(s)))
-			if c := Correlate(r, s); c != wantC {
-				t.Fatalf("C mismatch: got %v want %v", c, wantC)
-			}
-		}
-	}
-}
-
-func popcount(v uint32) int {
-	n := 0
-	for v != 0 {
-		n += int(v & 1)
-		v >>= 1
-	}
-	return n
-}
-
-func TestNearestSoftMatchesHardOnSignSamples(t *testing.T) {
-	// On clean ±1 samples, soft and hard decisions agree.
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 300; trial++ {
-		s := byte(rng.Intn(NumSymbols))
-		r := make([]float64, ChipsPerSymbol)
-		copy(r, Signed(s)[:])
-		// flip a few chips
-		for k := 0; k < rng.Intn(5); k++ {
-			i := rng.Intn(ChipsPerSymbol)
-			r[i] = -r[i]
-		}
-		soft, best, runnerUp := NearestSoft(r)
-		var rx uint32
-		for i, v := range r {
-			if v > 0 {
-				rx |= 1 << uint(31-i)
-			}
-		}
-		hard, _ := NearestHard(rx)
-		if soft != hard {
-			t.Fatalf("trial %d: soft %d != hard %d", trial, soft, hard)
-		}
-		if best < runnerUp {
-			t.Fatalf("best %v < runnerUp %v", best, runnerUp)
-		}
-	}
-}
-
-func TestSoftNoiseImmunity(t *testing.T) {
-	// Small Gaussian-ish perturbations must not change the soft decision.
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 200; trial++ {
-		s := byte(rng.Intn(NumSymbols))
-		r := make([]float64, ChipsPerSymbol)
-		for i, v := range Signed(s) {
-			r[i] = v + rng.NormFloat64()*0.05
-		}
-		got, _, _ := NearestSoft(r)
-		if got != s {
-			t.Fatalf("trial %d: tiny noise flipped decision %d -> %d", trial, s, got)
-		}
-	}
-}
-
 func TestChipAt(t *testing.T) {
 	cw := Codeword(0)
 	for i, ch := range baseChips {

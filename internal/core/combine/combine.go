@@ -9,7 +9,7 @@
 // the monotonicity contract, the combiner needs no PHY knowledge at all:
 // for every symbol it simply keeps the decision carried by the smallest
 // hint across receivers. Symbols nobody decoded stay unknown and surface
-// with an infinite hint so downstream labelling marks them Bad.
+// with the Uncovered hint, which no decoder produces.
 package combine
 
 import (
@@ -17,6 +17,11 @@ import (
 
 	"ppr/internal/phy"
 )
+
+// Uncovered is the hint Combine gives a symbol no view decoded. It is the
+// largest hint value, above every decoder's range, so it never beats a
+// decoded symbol.
+const Uncovered uint8 = math.MaxUint8
 
 // View is one receiver's partial view of a packet.
 type View struct {
@@ -39,11 +44,11 @@ func (v View) at(i int) (phy.Decision, bool) {
 
 // Combine merges the views of one packet of numSymbols symbols by minimum
 // hint. The result always has numSymbols entries; positions no view
-// decoded carry Hint = +Inf.
+// decoded carry Hint = Uncovered.
 func Combine(numSymbols int, views []View) []phy.Decision {
 	out := make([]phy.Decision, numSymbols)
 	for i := range out {
-		out[i] = phy.Decision{Hint: math.Inf(1)}
+		out[i] = phy.Decision{Hint: Uncovered}
 		for _, v := range views {
 			if d, ok := v.at(i); ok && d.Hint < out[i].Hint {
 				out[i] = d

@@ -1,14 +1,13 @@
 package combine
 
 import (
-	"math"
 	"testing"
 
 	"ppr/internal/phy"
 	"ppr/internal/stats"
 )
 
-func d(sym byte, hint float64) phy.Decision { return phy.Decision{Symbol: sym, Hint: hint} }
+func d(sym byte, hint uint8) phy.Decision { return phy.Decision{Symbol: sym, Hint: hint} }
 
 func TestCombineMinHintWins(t *testing.T) {
 	// Receiver A confident on symbol 0, receiver B on symbol 1.
@@ -43,15 +42,15 @@ func TestCombineMissingPrefix(t *testing.T) {
 func TestCombineUncoveredIsInfinite(t *testing.T) {
 	views := []View{{Decisions: []phy.Decision{d(1, 0)}}}
 	got := Combine(3, views)
-	if !math.IsInf(got[1].Hint, 1) || !math.IsInf(got[2].Hint, 1) {
-		t.Error("uncovered symbols must carry infinite hints")
+	if got[1].Hint != Uncovered || got[2].Hint != Uncovered {
+		t.Error("uncovered symbols must carry the Uncovered hint")
 	}
 }
 
 func TestCombineNoViews(t *testing.T) {
 	got := Combine(2, nil)
 	for _, g := range got {
-		if !math.IsInf(g.Hint, 1) {
+		if g.Hint != Uncovered {
 			t.Error("no views should leave everything unknown")
 		}
 	}
@@ -95,9 +94,9 @@ func TestCombineImprovesCorrectness(t *testing.T) {
 		v := View{Decisions: make([]phy.Decision, n)}
 		for i := 0; i < n; i++ {
 			if i >= badLo && i < badHi {
-				v.Decisions[i] = d((truth[i]+1+byte(rng.Intn(14)))%16, 8+float64(rng.Intn(10)))
+				v.Decisions[i] = d((truth[i]+1+byte(rng.Intn(14)))%16, 8+uint8(rng.Intn(10)))
 			} else {
-				v.Decisions[i] = d(truth[i], float64(rng.Intn(2)))
+				v.Decisions[i] = d(truth[i], uint8(rng.Intn(2)))
 			}
 		}
 		return v
@@ -132,13 +131,13 @@ func TestCombinePreservesHintOrdering(t *testing.T) {
 		pre := rng.Intn(20)
 		ds := make([]phy.Decision, n-pre-rng.Intn(20))
 		for i := range ds {
-			ds[i] = d(byte(rng.Intn(16)), float64(rng.Intn(20)))
+			ds[i] = d(byte(rng.Intn(16)), uint8(rng.Intn(20)))
 		}
 		views[vi] = View{MissingPrefix: pre, Decisions: ds}
 	}
 	combined := Combine(n, views)
 	for i := 0; i < n; i++ {
-		min := math.Inf(1)
+		min := Uncovered
 		for _, v := range views {
 			if dec, ok := v.at(i); ok && dec.Hint < min {
 				min = dec.Hint

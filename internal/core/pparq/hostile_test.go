@@ -1,6 +1,7 @@
 package pparq
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -104,6 +105,62 @@ func TestTransferWindowRejectsHostileFeedback(t *testing.T) {
 			_, _, err := s.TransferWindow([][]byte{payloadOf(rng, 250), payloadOf(rng, 120)})
 			if !errors.Is(err, ErrBadRequest) {
 				t.Fatalf("err = %v, want ErrBadRequest", err)
+			}
+			if len(s.sent) != 0 {
+				t.Errorf("%d stale entries in sender state", len(s.sent))
+			}
+		})
+	}
+}
+
+// hintLink is a forward link whose radio reports hostile SoftPHY hints:
+// the first reception it delivers, the data frame's, has every decision
+// rewritten by tamper and its CRC verdict cleared before the receiver's
+// assembler labels it. Later receptions cross unchanged.
+type hintLink struct {
+	inner    *chipLink
+	tamper   func(*phy.Decision)
+	tampered bool
+}
+
+func (l *hintLink) Transmit(f frame.Frame) *frame.Reception {
+	rec := l.inner.Transmit(f)
+	if rec == nil || l.tampered {
+		return rec
+	}
+	l.tampered = true
+	for i := range rec.Decisions {
+		l.tamper(&rec.Decisions[i])
+	}
+	rec.CRCOK = false
+	return rec
+}
+
+// TestTransferSurvivesHostileHints: hints at the byte's extremes, all 255
+// over correct symbols and all 0 over wrong ones, must end in the sent
+// payload or ErrGiveUp — never a panic or a wrong payload.
+func TestTransferSurvivesHostileHints(t *testing.T) {
+	for _, hc := range []struct {
+		name   string
+		tamper func(*phy.Decision)
+	}{
+		{"all 255", func(d *phy.Decision) { d.Hint = 255 }},
+		{"all 0 on wrong symbols", func(d *phy.Decision) { d.Symbol, d.Hint = (d.Symbol+1)&0x0f, 0 }},
+	} {
+		t.Run(hc.name, func(t *testing.T) {
+			rng := stats.NewRNG(42)
+			fwd := &hintLink{inner: cleanLink(), tamper: hc.tamper}
+			s := NewSender(fwd, cleanLink(), 1, 2, Config{})
+			payload := payloadOf(rng, 250)
+			got, _, err := s.Transfer(payload)
+			switch {
+			case err == nil && !bytes.Equal(got, payload):
+				t.Fatal("delivered a payload different from the one sent")
+			case err != nil && !errors.Is(err, ErrGiveUp):
+				t.Fatalf("err = %v, want nil or ErrGiveUp", err)
+			}
+			if !fwd.tampered {
+				t.Fatal("no reception was tampered with")
 			}
 			if len(s.sent) != 0 {
 				t.Errorf("%d stale entries in sender state", len(s.sent))

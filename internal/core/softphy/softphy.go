@@ -58,7 +58,7 @@ func (t Threshold) LabelAll(missingPrefix int, ds []phy.Decision) []Label {
 		out[i] = Bad
 	}
 	for i, d := range ds {
-		out[missingPrefix+i] = t.Label(d.Hint)
+		out[missingPrefix+i] = t.Label(float64(d.Hint))
 	}
 	return out
 }

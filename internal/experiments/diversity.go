@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"math"
 	"sort"
 
 	"ppr/internal/core/combine"
@@ -90,7 +89,7 @@ func diversityCtx(ctx context.Context, o Options) (DiversityResult, error) {
 			merged := combine.Combine(n, ds)
 			good := 0
 			for i, d := range merged {
-				if !math.IsInf(d.Hint, 1) && d.Hint <= eta && d.Symbol == p.truth[i] {
+				if d.Hint != combine.Uncovered && float64(d.Hint) <= eta && d.Symbol == p.truth[i] {
 					good++
 				}
 			}

@@ -42,9 +42,9 @@ func hintTrace(ctx context.Context, o Options, offeredBps float64) (correct, inc
 				break
 			}
 			if d.Symbol == out.TruthSyms[idx] {
-				correct = append(correct, d.Hint)
+				correct = append(correct, float64(d.Hint))
 			} else {
-				incorrect = append(incorrect, d.Hint)
+				incorrect = append(incorrect, float64(d.Hint))
 			}
 		}
 	}
@@ -127,7 +127,7 @@ func fig14Ctx(ctx context.Context, o Options) ([]MissLengthCurve, error) {
 				}
 				if d.Symbol != out.TruthSyms[idx] {
 					incorrect++
-					if d.Hint <= eta {
+					if float64(d.Hint) <= eta {
 						misses++
 						run++
 						continue

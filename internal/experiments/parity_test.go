@@ -101,7 +101,7 @@ func legacyDeliveredAppBytes(o *sim.Outcome, s legacyScheme, p SchemeParams, pay
 			if idx >= len(mask) {
 				break
 			}
-			if d.Hint <= p.Eta && mask[idx] {
+			if float64(d.Hint) <= p.Eta && mask[idx] {
 				goodCorrect++
 			}
 		}

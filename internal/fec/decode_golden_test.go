@@ -99,3 +99,25 @@ func TestDecodeGolden(t *testing.T) {
 		t.Fatalf("Decode digest %s, want %s", got, decodeGoldenSHA256)
 	}
 }
+
+// TestDecisionsFromResultIntegerHints pins DecisionsFromResult's hint range
+// over the golden inputs: every hint is 16 minus an int32 metric margin,
+// clamped at 0, so it is an integer in [0, 16] and fits a byte exactly.
+func TestDecisionsFromResultIntegerHints(t *testing.T) {
+	for k, in := range decodeGoldenInputs() {
+		res, err := Decode(in)
+		if err != nil {
+			continue
+		}
+		for i, d := range DecisionsFromResult(res) {
+			minRel := res.Reliability[4*i]
+			for _, r := range res.Reliability[4*i+1 : 4*i+4] {
+				minRel = math.Min(minRel, r)
+			}
+			h := float64(d.Hint)
+			if h != math.Trunc(h) || h < 0 || h > maxReliability || h != math.Max(0, maxReliability-minRel) {
+				t.Fatalf("input %d symbol %d: hint %v (least reliability %v)", k, i, h, minRel)
+			}
+		}
+	}
+}

@@ -14,9 +14,9 @@
 //
 // fec exists to demonstrate the paper's architectural claim (Sec. 3.3):
 // higher layers consume hints through the same monotonic interface no
-// matter which PHY produced them. DecisionsFromResult adapts the Viterbi
-// reliabilities to the phy.Decision hint convention, and the PP-ARQ stack
-// runs over it unchanged (see the integration tests).
+// matter which PHY produced them. The integration tests adapt the Viterbi
+// reliabilities to the phy.Decision hint convention and run the PP-ARQ
+// stack over them unchanged.
 package fec
 
 import (
@@ -25,7 +25,6 @@ import (
 	"math/bits"
 
 	"ppr/internal/bitutil"
-	"ppr/internal/phy"
 )
 
 const (
@@ -411,37 +410,4 @@ func Repairs(coded *bitutil.ChipWords, lo, hi int) bool {
 	}
 	steps.Add(int64(nBranches - t0))
 	return true
-}
-
-// maxReliability anchors DecisionsFromResult's hint scale: a symbol's hint
-// is maxReliability minus the reliability of its least reliable bit,
-// clamped at 0, so that lower = more confident (the monotonicity contract).
-const maxReliability = 16.0
-
-// DecisionsFromResult converts a decode result into per-4-bit-symbol
-// phy.Decisions, the same stream shape the DSSS PHY produces, so every
-// higher layer (labelers, run-length, chunk DP, PP-ARQ) runs unchanged on
-// the coded PHY. Each symbol's value is 4 consecutive bits, LSB first, and
-// its hint comes from the least reliable of them.
-func DecisionsFromResult(res Result) []phy.Decision {
-	n := len(res.Bits) / 4
-	out := make([]phy.Decision, n)
-	for i := 0; i < n; i++ {
-		sym := res.Bits[i*4]&1 |
-			res.Bits[i*4+1]&1<<1 |
-			res.Bits[i*4+2]&1<<2 |
-			res.Bits[i*4+3]&1<<3
-		minRel := res.Reliability[i*4]
-		for j := 1; j < 4; j++ {
-			if r := res.Reliability[i*4+j]; r < minRel {
-				minRel = r
-			}
-		}
-		hint := maxReliability - minRel
-		if hint < 0 {
-			hint = 0
-		}
-		out[i] = phy.Decision{Symbol: sym, Hint: hint}
-	}
-	return out
 }

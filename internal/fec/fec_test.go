@@ -231,7 +231,7 @@ func TestDecisionsFromResultPreSized(t *testing.T) {
 			if wantHint < 0 {
 				wantHint = 0
 			}
-			if d.Hint != wantHint {
+			if float64(d.Hint) != wantHint {
 				t.Fatalf("hint %d: %v != %v", i, d.Hint, wantHint)
 			}
 		}
@@ -323,7 +323,7 @@ func TestHintMonotonicityAcrossNoise(t *testing.T) {
 		var sum float64
 		ds := DecisionsFromResult(res)
 		for _, d := range ds {
-			sum += d.Hint
+			sum += float64(d.Hint)
 		}
 		return sum / float64(len(ds))
 	}

@@ -139,7 +139,7 @@ func TestAdaptiveLearnsCodedScale(t *testing.T) {
 			truth = append(truth, b&0x0f, b>>4)
 		}
 		for i, d := range ds {
-			ad.Observe(d.Hint, d.Symbol == truth[i])
+			ad.Observe(float64(d.Hint), d.Symbol == truth[i])
 		}
 	}
 	eta := ad.Eta()

@@ -408,9 +408,9 @@ func TestReceiveCorruptPayloadHintsMarkErrors(t *testing.T) {
 	var inBurst, outBurst []float64
 	for i, d := range rec.Decisions {
 		if i >= 80 && i < 120 {
-			inBurst = append(inBurst, d.Hint)
+			inBurst = append(inBurst, float64(d.Hint))
 		} else {
-			outBurst = append(outBurst, d.Hint)
+			outBurst = append(outBurst, float64(d.Hint))
 		}
 	}
 	if stats.Mean(inBurst) < 4 {

@@ -52,7 +52,7 @@ func refDecodeRegion(dec phy.Decoder, buf *frame.ChipBuffer, chipOff, nSymbols i
 			complete = false
 			break
 		}
-		ds = append(ds, dec.Decode(phy.Observation{Hard: buf.Word32(off)}))
+		ds = append(ds, dec.Decode(buf.Word32(off)))
 	}
 	return ds, skipped, complete
 }
@@ -215,9 +215,9 @@ type countingDecoder struct {
 	calls *int
 }
 
-func (c countingDecoder) Decode(obs phy.Observation) phy.Decision {
+func (c countingDecoder) Decode(chips uint32) phy.Decision {
 	*c.calls++
-	return c.Decoder.Decode(obs)
+	return c.Decoder.Decode(chips)
 }
 
 // parityCase is one receive configuration checked against the reference.

@@ -193,7 +193,7 @@ func (r *Receiver) decodeRegion(buf *ChipBuffer, chipOff, nSymbols int) (ds []ph
 	ds = r.scratch.decisionSpan(n)
 	off := chipOff + skipped*32
 	for i := range ds {
-		ds[i] = r.Dec.Decode(phy.Observation{Hard: buf.Word32(off + i*32)})
+		ds[i] = r.Dec.Decode(buf.Word32(off + i*32))
 	}
 	return ds, skipped, skipped == 0 && n == nSymbols
 }

@@ -22,7 +22,6 @@ package linkserv
 import (
 	"encoding/binary"
 	"errors"
-	"math"
 
 	"ppr/internal/core/pparq"
 	"ppr/internal/frame"
@@ -253,8 +252,7 @@ func appendReception(dst []byte, exch uint32, rec *frame.Reception) []byte {
 	dst = binary.BigEndian.AppendUint16(dst, rec.Hdr.Seq)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(rec.Decisions)))
 	for _, d := range rec.Decisions {
-		dst = append(dst, d.Symbol)
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(d.Hint))
+		dst = append(dst, d.Symbol, d.Hint)
 	}
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(rec.PayloadBytes)))
 	return append(dst, rec.PayloadBytes...)
@@ -263,7 +261,7 @@ func appendReception(dst []byte, exch uint32, rec *frame.Reception) []byte {
 // parseReception decodes a MsgRx body into an owned Reception (nil when
 // the radio head acquired nothing). Limits reject hostile sizes before any
 // allocation proportional to them; a reception whose decision and payload
-// counts disagree with its header, and non-finite hints, are rejected.
+// counts disagree with its header is rejected.
 // Only appendReception's encoding is accepted — presence 0 or 1, no
 // unknown flag bits, no trailing bytes — so an accepted body re-encodes to
 // itself.
@@ -306,18 +304,12 @@ func parseReception(b []byte) (exch uint32, rec *frame.Reception, err error) {
 	if r.MissingPrefix+nDec > frame.SymbolsPerByte*wantPay {
 		return 0, nil, errMalformed
 	}
-	if !c.need(nDec * 9) {
+	if !c.need(nDec * 2) {
 		return 0, nil, errMalformed
 	}
 	r.Decisions = make([]phy.Decision, nDec)
 	for i := range r.Decisions {
-		r.Decisions[i].Symbol = c.u8()
-		// A NaN or infinite hint would poison the sender's chunk DP.
-		hint := math.Float64frombits(c.u64())
-		if math.IsNaN(hint) || math.IsInf(hint, 0) {
-			return 0, nil, errMalformed
-		}
-		r.Decisions[i].Hint = hint
+		r.Decisions[i] = phy.Decision{Symbol: c.u8(), Hint: c.u8()}
 	}
 	nPay := int(c.u32())
 	if c.bad || nPay != wantPay || nPay > frame.MaxPayload {

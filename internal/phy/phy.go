@@ -1,11 +1,10 @@
 // Package phy implements the 802.15.4 DSSS physical layer of the PPR
 // receiver: spreading of data symbols onto 32-chip codewords, despreading of
-// received chips back to symbols, and — the heart of SoftPHY (Sec. 3) — the
-// three hint sources the paper proposes:
+// received chips back to symbols, and — the heart of SoftPHY (Sec. 3) — two
+// of the hint sources the paper proposes:
 //
 //   - Hamming distance from hard-decision decoding (Sec. 3.2, the
 //     implemented and evaluated variant),
-//   - the correlation metric of Eq. 1 from soft-decision decoding,
 //   - the matched-filter output in the absence of channel coding.
 //
 // Every decoder honours the monotonicity contract of Sec. 3.3: for two hint
@@ -23,31 +22,23 @@ import (
 	"ppr/internal/chipseq"
 )
 
-// Observation is what the demodulator hands the decoder for one codeword
-// interval: the 32 hard-decided chips, and optionally the 32 soft chip
-// samples (present only when the channel was simulated at sample level).
-type Observation struct {
-	// Hard holds the hard-decided chips, chip i at bit (31-i).
-	Hard uint32
-	// Soft holds per-chip soft values (nominally ±1 plus noise); nil when
-	// the channel model produced hard decisions only.
-	Soft []float64
-}
-
 // Decision is one decoded symbol with its SoftPHY hint attached. The hint
 // travels with the symbol all the way up to PP-ARQ (Fig. 1).
 type Decision struct {
 	// Symbol is the decoded 4-bit data symbol.
 	Symbol byte
 	// Hint is the decoder's confidence annotation; lower means more
-	// confident, per the monotonicity contract.
-	Hint float64
+	// confident, per the monotonicity contract. Every hint source is an
+	// integer count: at most 32 for HardDecoder, 64 for
+	// MatchedFilterDecoder.
+	Hint uint8
 }
 
-// Decoder despreads one codeword observation into a Decision.
+// Decoder despreads one codeword of hard-decided chips into a Decision.
 type Decoder interface {
-	// Decode maps a codeword observation to a symbol decision with hint.
-	Decode(obs Observation) Decision
+	// Decode maps the 32 hard-decided chips of one codeword interval,
+	// chip i at bit (31-i), to a symbol decision with hint.
+	Decode(chips uint32) Decision
 	// Name identifies the decoder in experiment output.
 	Name() string
 }
@@ -59,50 +50,26 @@ type Decoder interface {
 type HardDecoder struct{}
 
 // Decode despreads by minimum Hamming distance.
-func (HardDecoder) Decode(obs Observation) Decision {
-	sym, dist := chipseq.NearestHard(obs.Hard)
-	return Decision{Symbol: sym, Hint: float64(dist)}
+func (HardDecoder) Decode(chips uint32) Decision {
+	sym, dist := chipseq.NearestHard(chips)
+	return Decision{Symbol: sym, Hint: uint8(dist)}
 }
 
 // Name implements Decoder.
 func (HardDecoder) Name() string { return "hdd" }
 
-// SoftDecoder implements soft-decision decoding over per-chip samples using
-// the correlation metric of Eq. 1. The hint is (B − C_best)/2, which for
-// clean ±1 samples coincides numerically with the Hamming distance, easing
-// comparison, while remaining continuous under noise.
-type SoftDecoder struct{}
-
-// Decode despreads by maximum correlation. It falls back to hard-decision
-// decoding when no soft samples are available.
-func (SoftDecoder) Decode(obs Observation) Decision {
-	if obs.Soft == nil {
-		return HardDecoder{}.Decode(obs)
-	}
-	sym, best, _ := chipseq.NearestSoft(obs.Soft)
-	return Decision{Symbol: sym, Hint: (chipseq.ChipsPerSymbol - best) / 2}
-}
-
-// Name implements Decoder.
-func (SoftDecoder) Name() string { return "sdd" }
-
 // MatchedFilterDecoder models the third hint option of Sec. 3.1: the raw
 // output of a filter matched to the decided-upon codeword. The hint is the
-// negated, offset filter output B − C_best (un-normalised, so its scale
-// differs from the other decoders — intentionally, to exercise the
-// threshold-adaptation machinery of Sec. 3.3).
+// negated, offset filter output B − C_best = 2d for Hamming distance d
+// (un-normalised, so its scale differs from HardDecoder's — intentionally,
+// to exercise the threshold-adaptation machinery of Sec. 3.3).
 type MatchedFilterDecoder struct{}
 
-// Decode despreads by maximum correlation and reports the inverted raw
+// Decode despreads by minimum Hamming distance and reports the inverted
 // filter peak as the hint.
-func (MatchedFilterDecoder) Decode(obs Observation) Decision {
-	if obs.Soft == nil {
-		d := HardDecoder{}.Decode(obs)
-		// Map distance to the matched-filter scale: C = B − 2d.
-		return Decision{Symbol: d.Symbol, Hint: 2 * d.Hint}
-	}
-	sym, best, _ := chipseq.NearestSoft(obs.Soft)
-	return Decision{Symbol: sym, Hint: chipseq.ChipsPerSymbol - best}
+func (MatchedFilterDecoder) Decode(chips uint32) Decision {
+	d := HardDecoder{}.Decode(chips)
+	return Decision{Symbol: d.Symbol, Hint: 2 * d.Hint}
 }
 
 // Name implements Decoder.
@@ -194,25 +161,7 @@ func AppendDecodeStream(dst []Decision, dec Decoder, chips *bitutil.ChipWords) [
 	base := len(dst)
 	dst = slices.Grow(dst, n)[:base+n]
 	for i := 0; i < n; i++ {
-		dst[base+i] = dec.Decode(Observation{Hard: chips.Word32(i * chipseq.ChipsPerSymbol)})
+		dst[base+i] = dec.Decode(chips.Word32(i * chipseq.ChipsPerSymbol))
 	}
 	return dst
-}
-
-// SymbolsOf extracts just the decoded symbols from decisions.
-func SymbolsOf(ds []Decision) []byte {
-	out := make([]byte, len(ds))
-	for i, d := range ds {
-		out[i] = d.Symbol
-	}
-	return out
-}
-
-// HintsOf extracts just the hints from decisions.
-func HintsOf(ds []Decision) []float64 {
-	out := make([]float64, len(ds))
-	for i, d := range ds {
-		out[i] = d.Hint
-	}
-	return out
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"ppr/internal/bitutil"
 	"ppr/internal/chipseq"
@@ -13,16 +14,14 @@ import (
 func TestSpreadDecodeRoundTripClean(t *testing.T) {
 	f := func(data []byte) bool {
 		ds := DecodeStream(HardDecoder{}, SpreadPacked(data))
-		got := bitutil.BytesFromNibbles(SymbolsOf(ds))
-		if !bytes.Equal(got, data) {
-			return false
-		}
-		for _, d := range ds {
+		syms := make([]byte, len(ds))
+		for i, d := range ds {
 			if d.Hint != 0 {
 				return false
 			}
+			syms[i] = d.Symbol
 		}
-		return true
+		return bytes.Equal(bitutil.BytesFromNibbles(syms), data)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -98,7 +97,7 @@ func TestHardDecoderHintIsDistance(t *testing.T) {
 		for i := range seen {
 			cw ^= 1 << uint(31-i)
 		}
-		d := HardDecoder{}.Decode(Observation{Hard: cw})
+		d := HardDecoder{}.Decode(cw)
 		if d.Symbol != s {
 			t.Fatalf("decoded %d want %d", d.Symbol, s)
 		}
@@ -108,38 +107,11 @@ func TestHardDecoderHintIsDistance(t *testing.T) {
 	}
 }
 
-func TestSoftDecoderMatchesHammingOnSignSamples(t *testing.T) {
-	// For ±1 samples the SDD hint (B − C)/2 equals the HDD Hamming hint.
-	rng := stats.NewRNG(2)
-	for trial := 0; trial < 200; trial++ {
-		s := byte(rng.Intn(16))
-		soft := make([]float64, 32)
-		var hard uint32
-		copy(soft, chipseq.Signed(s)[:])
-		for k := 0; k < rng.Intn(4); k++ {
-			soft[rng.Intn(32)] *= -1
-		}
-		for i, v := range soft {
-			if v > 0 {
-				hard |= 1 << uint(31-i)
-			}
-		}
-		hd := HardDecoder{}.Decode(Observation{Hard: hard})
-		sd := SoftDecoder{}.Decode(Observation{Hard: hard, Soft: soft})
-		if hd.Symbol != sd.Symbol {
-			t.Fatalf("trial %d: decisions disagree (%d vs %d)", trial, hd.Symbol, sd.Symbol)
-		}
-		if hd.Hint != sd.Hint {
-			t.Fatalf("trial %d: hints disagree (%v vs %v)", trial, hd.Hint, sd.Hint)
-		}
-	}
-}
-
-func TestSoftDecoderFallsBackWithoutSamples(t *testing.T) {
-	cw := chipseq.Codeword(5)
-	d := SoftDecoder{}.Decode(Observation{Hard: cw})
-	if d.Symbol != 5 || d.Hint != 0 {
-		t.Errorf("fallback decode got %+v", d)
+// TestDecisionIsTwoBytes pins the trace's per-symbol cost: the simulator
+// keeps one Decision per received symbol.
+func TestDecisionIsTwoBytes(t *testing.T) {
+	if n := unsafe.Sizeof(Decision{}); n != 2 {
+		t.Errorf("Decision is %d bytes, want 2", n)
 	}
 }
 
@@ -147,8 +119,8 @@ func TestMatchedFilterScale(t *testing.T) {
 	// MF hint = 2× the HDD hint on equivalent observations — a different
 	// scale, same ordering (the monotonicity contract is about order only).
 	cw := chipseq.Codeword(3) ^ 0x80000001 // 2 chip errors
-	hd := HardDecoder{}.Decode(Observation{Hard: cw})
-	mf := MatchedFilterDecoder{}.Decode(Observation{Hard: cw})
+	hd := HardDecoder{}.Decode(cw)
+	mf := MatchedFilterDecoder{}.Decode(cw)
 	if mf.Symbol != hd.Symbol {
 		t.Fatalf("symbols disagree")
 	}
@@ -161,26 +133,18 @@ func TestMonotonicityContractUnderNoise(t *testing.T) {
 	// Statistically: symbols decoded from noisier chips must carry larger
 	// (less confident) hints on average, for every decoder.
 	rng := stats.NewRNG(3)
-	decoders := []Decoder{HardDecoder{}, SoftDecoder{}, MatchedFilterDecoder{}}
-	for _, dec := range decoders {
+	for _, dec := range []Decoder{HardDecoder{}, MatchedFilterDecoder{}} {
 		meanHint := func(pChip float64) float64 {
 			var sum float64
 			const n = 400
 			for i := 0; i < n; i++ {
-				s := byte(rng.Intn(16))
-				soft := make([]float64, 32)
-				var hard uint32
-				for j, v := range chipseq.Signed(s) {
-					val := v
+				cw := chipseq.Codeword(byte(rng.Intn(16)))
+				for j := 0; j < chipseq.ChipsPerSymbol; j++ {
 					if rng.Bool(pChip) {
-						val = -val
-					}
-					soft[j] = val
-					if val > 0 {
-						hard |= 1 << uint(31-j)
+						cw ^= 1 << uint(31-j)
 					}
 				}
-				sum += dec.Decode(Observation{Hard: hard, Soft: soft}).Hint
+				sum += float64(dec.Decode(cw).Hint)
 			}
 			return sum / n
 		}
@@ -201,18 +165,8 @@ func TestDecodeStreamIgnoresTrailingChips(t *testing.T) {
 	}
 }
 
-func TestHintsSymbolsExtractors(t *testing.T) {
-	ds := []Decision{{1, 0.5}, {2, 3}}
-	if got := SymbolsOf(ds); got[0] != 1 || got[1] != 2 {
-		t.Error("SymbolsOf")
-	}
-	if got := HintsOf(ds); got[0] != 0.5 || got[1] != 3 {
-		t.Error("HintsOf")
-	}
-}
-
 func TestDecoderNames(t *testing.T) {
-	if (HardDecoder{}).Name() != "hdd" || (SoftDecoder{}).Name() != "sdd" || (MatchedFilterDecoder{}).Name() != "mf" {
+	if (HardDecoder{}).Name() != "hdd" || (MatchedFilterDecoder{}).Name() != "mf" {
 		t.Error("unexpected decoder names")
 	}
 }
@@ -226,7 +180,7 @@ func TestRandomChipsDecodeToLargeHints(t *testing.T) {
 	const n = 2000
 	large := 0
 	for i := 0; i < n; i++ {
-		d := HardDecoder{}.Decode(Observation{Hard: uint32(rng.Uint64())})
+		d := HardDecoder{}.Decode(uint32(rng.Uint64()))
 		if d.Hint >= 6 {
 			large++
 		}

@@ -131,8 +131,7 @@ func (o Overlap) End() int { return o.Start + o.Chips.Len() }
 // active transmission set is constant: boundaries are collected from every
 // overlap's entry and exit, sorted and deduplicated, and each span is
 // resolved once to its dominant (strongest) transmission and the total
-// active power. dom is nil on pure-noise spans. Both the hard and the soft
-// synthesizer are built on this iterator.
+// active power. dom is nil on pure-noise spans.
 func forEachSegment(n int, overlaps []Overlap, fn func(lo, hi int, dom *Overlap, total float64)) {
 	bounds := make([]int, 0, 2+2*len(overlaps))
 	bounds = append(bounds, 0, n)
@@ -271,48 +270,4 @@ func SynthesizeFading(rng *stats.RNG, n int, overlaps []Overlap, noiseMW float64
 		}
 	}
 	return Synthesize(rng, n, faded, noiseMW)
-}
-
-// SynthesizeSoft produces per-chip soft samples over the window: the
-// dominant transmission's antipodal chip value plus Gaussian noise with
-// σ = 1/sqrt(2·SINR) (so the matched-filter SNR matches the hard-decision
-// error rate), or pure unit Gaussian noise where nothing is active. Used by
-// the sample-level experiments; the capacity experiments use Synthesize.
-func SynthesizeSoft(rng *stats.RNG, n int, overlaps []Overlap, noiseMW float64) []float64 {
-	out := make([]float64, n)
-	forEachSegment(n, overlaps, func(lo, hi int, dom *Overlap, total float64) {
-		if dom == nil {
-			for t := lo; t < hi; t++ {
-				out[t] = rng.NormFloat64()
-			}
-			return
-		}
-		sinr := dom.PowerMW / (noiseMW + (total - dom.PowerMW))
-		sigma := math.Inf(1)
-		if sinr > 0 {
-			sigma = 1 / math.Sqrt(2*sinr)
-		}
-		for t := lo; t < hi; t++ {
-			v := -1.0
-			if dom.Chips.Bit(t-dom.Start) != 0 {
-				v = 1.0
-			}
-			out[t] = v + rng.NormFloat64()*sigma
-		}
-	})
-	return out
-}
-
-// HardFromSoft slices soft samples back to hard chips by sign, the
-// demodulator's hard decision. The output is byte-per-chip: soft samples
-// only exist at the sample-level modem boundary, where that is the lingua
-// franca.
-func HardFromSoft(soft []float64) []byte {
-	out := make([]byte, len(soft))
-	for i, v := range soft {
-		if v > 0 {
-			out[i] = 1
-		}
-	}
-	return out
 }

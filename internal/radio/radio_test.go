@@ -197,41 +197,6 @@ func TestSynthesizeNegativeStartClips(t *testing.T) {
 	}
 }
 
-func TestSynthesizeSoftStatistics(t *testing.T) {
-	rng := stats.NewRNG(8)
-	const n = 50000
-	sig := DBmToMW(-80)
-	noise := DBmToMW(-86) // 6 dB SNR: sigma = 1/sqrt(2*3.98) ≈ 0.354
-	soft := SynthesizeSoft(rng, n, []Overlap{{Start: 0, Chips: chipsOfPattern(n, 1), PowerMW: sig}}, noise)
-	var mean, sq float64
-	for _, v := range soft {
-		mean += v
-	}
-	mean /= n
-	for _, v := range soft {
-		sq += (v - mean) * (v - mean)
-	}
-	sd := math.Sqrt(sq / n)
-	if math.Abs(mean-1) > 0.01 {
-		t.Errorf("soft mean %v, want ~1", mean)
-	}
-	wantSD := 1 / math.Sqrt(2*sig/noise)
-	if math.Abs(sd-wantSD) > 0.01 {
-		t.Errorf("soft sd %v, want ~%v", sd, wantSD)
-	}
-}
-
-func TestHardFromSoftAgreesWithSign(t *testing.T) {
-	soft := []float64{-0.5, 0.2, -3, 4, 0}
-	hard := HardFromSoft(soft)
-	want := []byte{0, 1, 0, 1, 0}
-	for i := range want {
-		if hard[i] != want[i] {
-			t.Errorf("chip %d: %d want %d", i, hard[i], want[i])
-		}
-	}
-}
-
 func TestSynthesizeDeterministic(t *testing.T) {
 	mk := func() *bitutil.ChipWords {
 		rng := stats.NewRNG(99)

@@ -166,7 +166,7 @@ func (HybridPPRFEC) DeliveredAppBytes(pat *bitutil.ChipWords, o *sim.Outcome, p 
 		flagged := false
 		for idx := s0; idx < s0+symsPerBlock; idx++ {
 			di := idx - o.MissingPrefix
-			if di < 0 || di >= len(o.Decisions) || o.Decisions[di].Hint > p.Eta {
+			if di < 0 || di >= len(o.Decisions) || float64(o.Decisions[di].Hint) > p.Eta {
 				flagged = true
 				break
 			}

@@ -212,7 +212,7 @@ func (PPR) DeliveredAppBytes(pat *bitutil.ChipWords, o *sim.Outcome, p Params, p
 	for g := 0; g < len(ds); g += 16 {
 		w := pat.Peek64(lo + g*symbolBits)
 		for _, d := range ds[g:min(g+16, len(ds))] {
-			if d.Hint <= p.Eta && w>>60 == 0 {
+			if float64(d.Hint) <= p.Eta && w>>60 == 0 {
 				goodCorrect++
 			}
 			w <<= symbolBits

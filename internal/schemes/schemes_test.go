@@ -8,7 +8,7 @@ import (
 	"ppr/internal/sim"
 )
 
-func decision(sym byte, hint float64) phy.Decision {
+func decision(sym byte, hint uint8) phy.Decision {
 	return phy.Decision{Symbol: sym, Hint: hint}
 }
 

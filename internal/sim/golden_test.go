@@ -41,7 +41,7 @@ func outcomeDigest(outs []Outcome) string {
 		put(uint64(len(o.Decisions)))
 		for _, d := range o.Decisions {
 			put(uint64(d.Symbol))
-			put(math.Float64bits(d.Hint))
+			put(math.Float64bits(float64(d.Hint)))
 		}
 		put(uint64(len(o.TruthSyms)))
 		h.Write(o.TruthSyms)

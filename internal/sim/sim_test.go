@@ -183,9 +183,9 @@ func TestHintsSeparateCorrectFromIncorrect(t *testing.T) {
 				break
 			}
 			if d.Symbol == o.TruthSyms[idx] {
-				correctHints = append(correctHints, d.Hint)
+				correctHints = append(correctHints, float64(d.Hint))
 			} else {
-				incorrectHints = append(incorrectHints, d.Hint)
+				incorrectHints = append(incorrectHints, float64(d.Hint))
 			}
 		}
 	}

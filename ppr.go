@@ -86,9 +86,9 @@ func AirBytes(payloadLen int) int { return frame.AirBytes(payloadLen) }
 // ---- SoftPHY (Sec. 3) ----
 
 type (
-	// Decoder despreads codeword observations into symbol decisions, each
-	// with its SoftPHY confidence hint (lower = more confident, per the
-	// monotonicity contract of Sec. 3.3).
+	// Decoder despreads each codeword's 32 hard-decided chips into a symbol
+	// decision with its SoftPHY confidence hint (lower = more confident,
+	// per the monotonicity contract of Sec. 3.3).
 	Decoder = phy.Decoder
 	// HardDecoder hints with the Hamming distance of hard-decision
 	// decoding — the variant the paper implements and evaluates.
