@@ -685,8 +685,9 @@ func BenchmarkBlockRepaired(b *testing.B) {
 // 1500-byte payload (29 blocks of 412 chips) through the default 32×48
 // interleaver, each pattern 1% scattered errors plus a collision-like
 // burst of 1000–4000 chips at half density, packed once outside the timed
-// loop. TestDeinterleaveMatchesReference (internal/interleave) proves the
-// output against a byte-per-bit permutation.
+// loop, into one reused buffer as the scheme does.
+// TestDeinterleaveMatchesReference (internal/interleave) proves the output
+// against a byte-per-bit permutation.
 func BenchmarkDeinterleave(b *testing.B) {
 	rng := stats.NewRNG(26)
 	codedBits := fec.EncodedLen(schemes.DefaultFECDataBytes * 8)
@@ -709,10 +710,11 @@ func BenchmarkDeinterleave(b *testing.B) {
 		}
 		pats[i] = pat
 	}
+	var out bitutil.ChipWords
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if out := ilv.Deinterleave(pats[i%len(pats)]); out.Len() != n {
+		if ilv.DeinterleaveInto(&out, pats[i%len(pats)]); out.Len() != n {
 			b.Fatalf("deinterleaved %d chips, want %d", out.Len(), n)
 		}
 	}
@@ -783,10 +785,13 @@ func benchTxChips() *bitutil.ChipWords {
 // segment regimes over one max-frame window (~96k chips): pure noise
 // (word fill), a clean dominant at 25 dB SNR (word copy + near-zero
 // flips), and a two-transmission collision at ~0 dB SINR (word copy +
-// dense sparse-sampled flips). bytes-reference runs the frozen seed
-// implementation (internal/radio/synthref, the same copy the statistical-
-// equivalence tests pin against) on the clean-dominant input for the
-// speedup ratio.
+// dense sparse-sampled flips). fading-multi is a paper-scale window of ten
+// staggered, overlapping 1500 B transmissions with block Rician fading,
+// about 240 fading blocks: the case whose segment scan was quadratic in
+// the block count. Each row reuses one radio.Scratch, as a delivery
+// worker does. bytes-reference runs the frozen seed implementation
+// (internal/radio/synthref, the same copy the statistical-equivalence
+// tests pin against) on the clean-dominant input for the speedup ratio.
 func BenchmarkSynthesize(b *testing.B) {
 	tx := benchTxChips()
 	n := tx.Len() + 128
@@ -796,21 +801,34 @@ func BenchmarkSynthesize(b *testing.B) {
 		{Start: 64, Chips: tx, PowerMW: radio.DBmToMW(-80)},
 		{Start: n / 3, Chips: tx, PowerMW: radio.DBmToMW(-80.5)},
 	}
+	var multi []radio.Overlap
+	for k := 0; k < 10; k++ {
+		multi = append(multi, radio.Overlap{
+			Start:   64 + k*tx.Len()/4 + 37*k,
+			Chips:   tx,
+			PowerMW: radio.DBmToMW(-75 - 1.5*float64(k)),
+		})
+	}
+	multiN := multi[len(multi)-1].End() + 64
 	cases := []struct {
-		name     string
-		overlaps []radio.Overlap
+		name      string
+		n         int
+		overlaps  []radio.Overlap
+		coherence int
 	}{
-		{"noise-only", nil},
-		{"clean-dominant", clean},
-		{"collision", collision},
+		{"noise-only", n, nil, 0},
+		{"clean-dominant", n, clean, 0},
+		{"collision", n, collision, 0},
+		{"fading-multi", multiN, multi, radio.DefaultCoherenceChips},
 	}
 	for _, bc := range cases {
 		b.Run(bc.name, func(b *testing.B) {
 			rng := stats.NewRNG(1)
-			b.SetBytes(int64(n))
+			var s radio.Scratch
+			b.SetBytes(int64(bc.n))
 			for i := 0; i < b.N; i++ {
-				out := radio.Synthesize(rng, n, bc.overlaps, noise)
-				if out.Len() != n {
+				out := s.SynthesizeFading(rng, bc.n, bc.overlaps, noise, bc.coherence)
+				if out.Len() != bc.n {
 					b.Fatal("wrong window length")
 				}
 			}

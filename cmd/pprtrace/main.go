@@ -10,9 +10,13 @@ package main
 
 import (
 	"bufio"
+	"cmp"
 	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"os"
+	"slices"
 
 	"ppr/internal/experiments"
 	"ppr/internal/radio"
@@ -22,12 +26,26 @@ import (
 )
 
 func main() {
-	what := flag.String("what", "hints", "hints | links")
-	load := flag.Float64("load", 13800, "offered load, bits/s/node")
-	cs := flag.Bool("cs", false, "carrier sense")
-	seed := flag.Uint64("seed", 1, "seed")
-	quick := flag.Bool("quick", true, "quick scale")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its exit turned into a return code so tests can drive
+// the exporter in-process.
+func run(argv []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pprtrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	what := fs.String("what", "hints", "hints | links")
+	load := fs.Float64("load", 13800, "offered load, bits/s/node")
+	cs := fs.Bool("cs", false, "carrier sense")
+	seed := fs.Uint64("seed", 1, "seed")
+	quick := fs.Bool("quick", true, "quick scale")
+	if err := fs.Parse(argv); err != nil {
+		return 2
+	}
+	if *what != "hints" && *what != "links" {
+		fmt.Fprintf(stderr, "unknown -what %q (hints | links)\n", *what)
+		return 2
+	}
 
 	tb := testbed.New(radio.DefaultParams(), *seed)
 	o := experiments.Options{Seed: *seed, Quick: *quick}
@@ -40,7 +58,7 @@ func main() {
 		Seed:         *seed,
 	}
 	_, outs := sim.Run(cfg)
-	w := bufio.NewWriter(os.Stdout)
+	w := bufio.NewWriter(stdout)
 	defer w.Flush()
 
 	switch *what {
@@ -70,14 +88,17 @@ func main() {
 		for _, scheme := range schemes.All() {
 			for variant := range sim.VariantNames {
 				acc := pp.PerLinkDelivery(variant, scheme, p)
-				for k, a := range acc {
+				// Rows go out in link order, so one seed prints one file.
+				keys := slices.SortedFunc(maps.Keys(acc), func(a, b experiments.LinkKey) int {
+					return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Rcv, b.Rcv))
+				})
+				for _, k := range keys {
+					a := acc[k]
 					fmt.Fprintf(w, "%d,%d,%s,%d,%d,%d,%d,%g\n",
 						k.Src, k.Rcv, schemes.Slug(scheme.Name()), variant, a.Packets, a.DeliveredBytes, a.SentBytes, a.Rate())
 				}
 			}
 		}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -what %q (hints | links)\n", *what)
-		os.Exit(2)
 	}
+	return 0
 }

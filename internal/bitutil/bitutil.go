@@ -1,5 +1,5 @@
 // Package bitutil provides low-level bit manipulation primitives used
-// throughout the PPR stack: Hamming weight/distance over words and slices,
+// throughout the PPR stack: Hamming distance over words,
 // nibble and bit (un)packing between byte payloads and symbol streams, the
 // packed ChipWords chip-stream representation the channel simulator and
 // receiver pipeline share, and a bit-granular reader/writer pair used by
@@ -20,20 +20,6 @@ func HammingDist32(a, b uint32) int {
 // HammingDist64 returns the number of differing bits between a and b.
 func HammingDist64(a, b uint64) int {
 	return bits.OnesCount64(a ^ b)
-}
-
-// HammingDistBytes returns the number of differing bits between two
-// equal-length byte slices. It panics if the lengths differ, because a
-// distance between unequal-length words is undefined in this codebase.
-func HammingDistBytes(a, b []byte) int {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("bitutil: HammingDistBytes length mismatch %d != %d", len(a), len(b)))
-	}
-	d := 0
-	for i := range a {
-		d += bits.OnesCount8(a[i] ^ b[i])
-	}
-	return d
 }
 
 // NibblesFromBytes expands data into its 4-bit symbols, low nibble first,

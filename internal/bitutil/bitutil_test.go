@@ -2,6 +2,8 @@ package bitutil
 
 import (
 	"bytes"
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -39,6 +41,20 @@ func TestHammingDistTriangleInequality(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// HammingDistBytes returns the number of differing bits between two
+// equal-length byte slices. It panics if the lengths differ, because a
+// distance between unequal-length words is undefined in this codebase.
+func HammingDistBytes(a, b []byte) int {
+	if len(a) != len(b) {
+		panic(fmt.Sprintf("bitutil: HammingDistBytes length mismatch %d != %d", len(a), len(b)))
+	}
+	d := 0
+	for i := range a {
+		d += bits.OnesCount8(a[i] ^ b[i])
+	}
+	return d
 }
 
 func TestHammingDistBytes(t *testing.T) {

@@ -182,19 +182,66 @@ func (w *ChipWords) setRun(off, width int, v uint64) {
 }
 
 // CopyFrom copies n chips from src starting at srcOff into w starting at
-// dstOff, word-at-a-time. Neither offset needs alignment; a 64-chip run
-// costs two shifted word reads and at most two masked word writes.
+// dstOff, word-at-a-time. Neither offset needs alignment: one masked run
+// brings the destination to a word boundary, each whole destination word
+// is then one funnel shift of two source words (a plain copy when the
+// source is aligned too), and one masked run writes the tail. Chips of w
+// outside [dstOff, dstOff+n) are untouched.
 func (w *ChipWords) CopyFrom(dstOff int, src *ChipWords, srcOff, n int) {
 	if n < 0 || dstOff < 0 || srcOff < 0 || dstOff+n > w.n || srcOff+n > src.n {
 		panic(fmt.Sprintf("bitutil: CopyFrom(%d, src, %d, %d) out of range (dst %d chips, src %d)",
 			dstOff, srcOff, n, w.n, src.n))
 	}
-	for done := 0; done < n; done += 64 {
-		width := n - done
-		if width > 64 {
-			width = 64
+	if head := min(-dstOff&63, n); head > 0 {
+		w.setRun(dstOff, head, src.run64(srcOff, head))
+		dstOff, srcOff, n = dstOff+head, srcOff+head, n-head
+	}
+	di, si, full := dstOff/64, srcOff/64, n/64
+	if sh := uint(srcOff % 64); sh == 0 {
+		copy(w.words[di:di+full], src.words[si:si+full])
+	} else {
+		// The last chip of the body lies in source word si+full.
+		dst, s := w.words[di:di+full], src.words[si:si+full+1]
+		for k := range dst {
+			dst[k] = s[k]<<sh | s[k+1]>>(64-sh)
 		}
-		w.setRun(dstOff+done, width, src.run64(srcOff+done, width))
+	}
+	if rem := n - 64*full; rem > 0 {
+		w.setRun(dstOff+64*full, rem, src.run64(srcOff+64*full, rem))
+	}
+}
+
+// Fill sets chips [lo, hi) to v (any nonzero v is chip value 1), a word at
+// a time: the undecoded-symbol padding of an error pattern, and the
+// clearing of a reused buffer.
+func (w *ChipWords) Fill(lo, hi int, v byte) {
+	if lo < 0 || hi > w.n || lo > hi {
+		panic(fmt.Sprintf("bitutil: Fill(%d, %d) out of range for %d chips", lo, hi, w.n))
+	}
+	word := uint64(0)
+	if v != 0 {
+		word = ^uint64(0)
+	}
+	if head := min(-lo&63, hi-lo); head > 0 {
+		w.setRun(lo, head, word)
+		lo += head
+	}
+	for ; lo+64 <= hi; lo += 64 {
+		w.words[lo/64] = word
+	}
+	if lo < hi {
+		w.setRun(lo, hi-lo, word)
+	}
+}
+
+// Or64 ORs the 64 chips of v (chip 0 at bit 63) into the stream at chip
+// offset off. Chips of v that would land at or past Len() must be 0, so
+// the word after off's is touched only when v spills into it.
+func (w *ChipWords) Or64(off int, v uint64) {
+	sh := uint(off % 64)
+	w.words[off/64] |= v >> sh
+	if spill := v << (64 - sh); spill != 0 {
+		w.words[off/64+1] |= spill
 	}
 }
 
@@ -214,57 +261,46 @@ func (w *ChipWords) FillUniform(lo, hi int, next func() uint64) {
 	}
 }
 
-// XORWith flips every chip of w where o has a 1 — applying a packed error
-// mask in word operations. It panics on length mismatch, like
-// HammingDistBytes. The final partial word is masked to Len(), so w may be
-// a view sharing words with a parent stream: chips past the view are never
-// touched, and unspecified bits past o's length never leak in.
-func (w *ChipWords) XORWith(o *ChipWords) {
-	if w.n != o.n {
-		panic(fmt.Sprintf("bitutil: XORWith length mismatch %d != %d", w.n, o.n))
-	}
-	full := w.n / 64
-	for i := 0; i < full; i++ {
-		w.words[i] ^= o.words[i]
-	}
-	if rem := w.n % 64; rem > 0 {
-		w.words[full] ^= o.words[full] & (^uint64(0) << uint(64-rem))
-	}
-}
-
-// OnesCount returns the number of 1 chips.
-func (w *ChipWords) OnesCount() int {
-	full := w.n / 64
-	c := 0
-	for i := 0; i < full; i++ {
-		c += bits.OnesCount64(w.words[i])
-	}
-	if rem := w.n % 64; rem > 0 {
-		c += bits.OnesCount64(w.words[full] & (^uint64(0) << uint(64-rem)))
-	}
-	return c
-}
-
-// Slice returns the chips [lo, hi) as a stream. When lo is word-aligned the
-// view shares the parent's words (zero copy — fading coherence blocks hit
-// this path); otherwise the chips are copied out.
+// Slice returns the chips [lo, hi) as a stream: View's stream on the heap.
 func (w *ChipWords) Slice(lo, hi int) *ChipWords {
+	v := w.View(lo, hi)
+	return &v
+}
+
+// View returns the chips [lo, hi) as a stream value. When lo is
+// word-aligned the view shares the parent's words (zero copy, and no
+// header on the heap — fading coherence blocks hit this path); otherwise
+// the chips are copied out.
+func (w *ChipWords) View(lo, hi int) ChipWords {
 	if lo < 0 || hi > w.n || lo > hi {
-		panic(fmt.Sprintf("bitutil: Slice(%d, %d) out of range for %d chips", lo, hi, w.n))
+		panic(fmt.Sprintf("bitutil: View(%d, %d) out of range for %d chips", lo, hi, w.n))
 	}
 	if lo%64 == 0 {
-		return &ChipWords{words: w.words[lo/64 : (hi+63)/64], n: hi - lo}
+		return ChipWords{words: w.words[lo/64 : (hi+63)/64], n: hi - lo}
 	}
-	out := NewChipWords(hi - lo)
+	out := ChipWords{words: make([]uint64, (hi-lo+63)/64), n: hi - lo}
 	out.CopyFrom(0, w, lo, hi-lo)
 	return out
 }
 
-// Clone returns an independent copy.
-func (w *ChipWords) Clone() *ChipWords {
-	out := &ChipWords{words: make([]uint64, len(w.words)), n: w.n}
-	copy(out.words, w.words)
-	return out
+// Reset makes w an n-chip stream over its own words, reusing them when
+// they have room. Chips keep stale values until written, which saves a
+// producer that writes every chip (a synthesis window) the clearing
+// NewChipWords costs; the bits past n in the last word are cleared, so
+// once every chip is written the words equal those the same writes leave
+// in NewChipWords(n). w must not be a view that shares a parent's words.
+func (w *ChipWords) Reset(n int) {
+	if n < 0 {
+		panic(fmt.Sprintf("bitutil: Reset(%d)", n))
+	}
+	nw := (n + 63) / 64
+	if cap(w.words) < nw {
+		w.words = make([]uint64, nw)
+	}
+	w.words, w.n = w.words[:nw], n
+	if nw > 0 {
+		w.words[nw-1] = 0
+	}
 }
 
 // Bytes unpacks to a byte-per-chip stream — the adapter back to the

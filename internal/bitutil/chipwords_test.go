@@ -2,8 +2,48 @@ package bitutil
 
 import (
 	"bytes"
+	"fmt"
+	"math/bits"
+	"slices"
 	"testing"
 )
+
+// XORWith flips every chip of w where o has a 1. It panics on length
+// mismatch. The final partial word is masked to Len(), so w may be a view
+// sharing words with a parent stream: chips past the view are never
+// touched, and unspecified bits past o's length never leak in.
+func (w *ChipWords) XORWith(o *ChipWords) {
+	if w.n != o.n {
+		panic(fmt.Sprintf("bitutil: XORWith length mismatch %d != %d", w.n, o.n))
+	}
+	full := w.n / 64
+	for i := 0; i < full; i++ {
+		w.words[i] ^= o.words[i]
+	}
+	if rem := w.n % 64; rem > 0 {
+		w.words[full] ^= o.words[full] & (^uint64(0) << uint(64-rem))
+	}
+}
+
+// OnesCount returns the number of 1 chips.
+func (w *ChipWords) OnesCount() int {
+	full := w.n / 64
+	c := 0
+	for i := 0; i < full; i++ {
+		c += bits.OnesCount64(w.words[i])
+	}
+	if rem := w.n % 64; rem > 0 {
+		c += bits.OnesCount64(w.words[full] & (^uint64(0) << uint(64-rem)))
+	}
+	return c
+}
+
+// Clone returns an independent copy.
+func (w *ChipWords) Clone() *ChipWords {
+	out := &ChipWords{words: make([]uint64, len(w.words)), n: w.n}
+	copy(out.words, w.words)
+	return out
+}
 
 // refWord32 is the byte-slice reference for Word32: chip off at bit 31.
 func refWord32(chips []byte, off int) uint32 {
@@ -83,6 +123,85 @@ func TestChipWordsCopyFromMatchesByteCopy(t *testing.T) {
 		copy(dst[tc.dstOff:tc.dstOff+tc.n], src[tc.srcOff:tc.srcOff+tc.n])
 		if !bytes.Equal(dw.Bytes(), dst) {
 			t.Fatalf("CopyFrom(%d, src, %d, %d) diverges from byte copy", tc.dstOff, tc.srcOff, tc.n)
+		}
+	}
+}
+
+// bitCopy is the chip-by-chip reference for CopyFrom.
+func bitCopy(dst *ChipWords, dstOff int, src *ChipWords, srcOff, n int) {
+	for i := 0; i < n; i++ {
+		dst.SetBit(dstOff+i, src.Bit(srcOff+i))
+	}
+}
+
+// TestCopyFromMatchesBitCopy runs CopyFrom against a chip-by-chip copy for
+// every destination and source alignment mod 64 and every length 0–200.
+// Both sides are views whose words run past Len(): the destination's
+// parent chips past the view must survive, and the source's stale bits
+// past its view must not leak in.
+func TestCopyFromMatchesBitCopy(t *testing.T) {
+	srcParent := PackChipBytes(patternBytes(64+64+200+64, 5))
+	dstParent := PackChipBytes(patternBytes(64+64+200+64, 6))
+	for da := 0; da < 64; da++ {
+		for sa := 0; sa < 64; sa++ {
+			for n := 0; n <= 200; n++ {
+				// A view ending at sa+n leaves its parent's later chips in
+				// its last word; the copy reads only chips below Len().
+				src := srcParent.Slice(64, 64+sa+n)
+				got, want := dstParent.Clone(), dstParent.Clone()
+				gv, wv := got.Slice(64, 64+da+n), want.Slice(64, 64+da+n)
+				gv.CopyFrom(da, src, sa, n)
+				bitCopy(wv, da, src, sa, n)
+				if !slices.Equal(got.words, want.words) {
+					t.Fatalf("CopyFrom(%d, src, %d, %d) diverges from the chip-by-chip copy", da, sa, n)
+				}
+			}
+		}
+	}
+}
+
+// TestChipWordsFillOr64ResetView pins the reuse primitives: Fill against
+// SetBit over every short range of a view, Or64 at every offset, a Reset
+// stream after full writes against a fresh one word for word, and View
+// against Slice.
+func TestChipWordsFillOr64ResetView(t *testing.T) {
+	base := patternBytes(300, 8)
+	for lo := 0; lo <= 200; lo += 7 {
+		for hi := lo; hi <= 200; hi += 5 {
+			for _, v := range []byte{0, 1} {
+				got, want := PackChipBytes(base), PackChipBytes(base)
+				got.Slice(64, 264).Fill(lo, hi, v)
+				for i := lo; i < hi; i++ {
+					want.SetBit(64+i, v)
+				}
+				if !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Fatalf("Fill(%d, %d, %d) diverges from SetBit", lo, hi, v)
+				}
+			}
+		}
+	}
+	for off := 0; off+64 <= 300; off++ {
+		w := NewChipWords(300)
+		w.Or64(off, 0x8000000000000001)
+		if w.OnesCount() != 2 || w.Bit(off) != 1 || w.Bit(off+63) != 1 {
+			t.Fatalf("Or64(%d) set the wrong chips", off)
+		}
+	}
+	var r ChipWords
+	for _, n := range []int{500, 130, 0, 64, 200} {
+		r.Reset(n)
+		fresh := NewChipWords(n)
+		r.Fill(0, n, 1)
+		fresh.Fill(0, n, 1)
+		if r.Len() != n || !slices.Equal(r.words, fresh.words) {
+			t.Fatalf("Reset(%d) then a full write differs from a fresh stream", n)
+		}
+	}
+	w := PackChipBytes(base)
+	for _, lo := range []int{0, 64, 65, 130} {
+		v := w.View(lo, 290)
+		if !bytes.Equal(v.Bytes(), w.Slice(lo, 290).Bytes()) || !bytes.Equal(v.Bytes(), base[lo:290]) {
+			t.Fatalf("View(%d, 290) differs from Slice", lo)
 		}
 	}
 }
@@ -234,6 +353,8 @@ func TestChipWordsPanics(t *testing.T) {
 		"word32-oob":   func() { w.Word32(33) },
 		"copy-oob":     func() { w.CopyFrom(0, NewChipWords(10), 0, 11) },
 		"fill-oob":     func() { w.FillUniform(0, 65, func() uint64 { return 0 }) },
+		"fillv-oob":    func() { w.Fill(3, 65, 1) },
+		"reset-neg":    func() { w.Reset(-1) },
 		"xor-mismatch": func() { w.XORWith(NewChipWords(63)) },
 		"slice-oob":    func() { w.Slice(10, 65) },
 		"nextset-oob":  func() { w.NextSet(0, 65) },

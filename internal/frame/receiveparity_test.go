@@ -328,6 +328,17 @@ func parityStreamsRx() map[string]parityCase {
 	f = air(14, payload(300))
 	cases["truncatedInCRC"] = parityCase{chips: cat(noise(400), f[:len(f)-headChips-100])}
 
+	// Truncations and leading clips one codeword apart, each ending or
+	// starting mid-codeword: the despreader's pair loop sees both an odd
+	// and an even count of payload codewords, with an odd last one taken
+	// alone.
+	for k := range 2 {
+		f = air(uint16(15+k), payload(300))
+		cases[fmt.Sprintf("truncatedParity%d", k)] = parityCase{chips: cat(noise(400), f[:headChips+32*(101+k)+17])}
+		f = air(uint16(17+k), payload(300))
+		cases[fmt.Sprintf("startsBeforeChip0Parity%d", k)] = parityCase{chips: cat(f[headChips+32*(50+k)+5:], noise(200))}
+	}
+
 	var train []byte
 	for i := 0; i < 6; i++ {
 		train = append(train, air(uint16(20+i), payload(10+rng.Intn(300)))...)

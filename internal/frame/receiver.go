@@ -187,12 +187,19 @@ func regionSpan(bufLen, chipOff, n int) (skipped, decoded int) {
 // buffer. It returns the decisions, the number of symbols skipped before the
 // region start (clip at front), and whether the region was fully inside.
 // The decisions are an arena span sized by regionSpan — no append churn on
-// the hot path.
+// the hot path. Codewords are extracted two at a time, one Word64 per
+// pair; an odd last one takes a Word32.
 func (r *Receiver) decodeRegion(buf *ChipBuffer, chipOff, nSymbols int) (ds []phy.Decision, skipped int, complete bool) {
 	skipped, n := regionSpan(buf.Len(), chipOff, nSymbols)
 	ds = r.scratch.decisionSpan(n)
 	off := chipOff + skipped*32
-	for i := range ds {
+	i := 0
+	for ; i+1 < len(ds); i += 2 {
+		v := buf.Word64(off + i*32)
+		ds[i] = r.Dec.Decode(uint32(v >> 32))
+		ds[i+1] = r.Dec.Decode(uint32(v))
+	}
+	if i < len(ds) {
 		ds[i] = r.Dec.Decode(buf.Word32(off + i*32))
 	}
 	return ds, skipped, skipped == 0 && n == nSymbols

@@ -40,7 +40,7 @@ func New(rows, cols int) Block {
 // whole tiles of Size() coded bits.
 func (b Block) Size() int { return b.rows * b.cols }
 
-// Deinterleave undoes the transmitter's interleaving of a packed chip
+// DeinterleaveInto undoes the transmitter's interleaving of a packed chip
 // stream. The transmitter writes each rows×cols tile row-major and reads
 // it onto the channel column-major, so in channel order tile column c is
 // rows consecutive chips, and chip r of it returns to tile position
@@ -56,10 +56,15 @@ func (b Block) Size() int { return b.rows * b.cols }
 // tile with no set chip is skipped before any of this, and so is a block
 // whose columns load as zero. A trailing run shorter than one tile was
 // sent uninterleaved and is copied through.
-func (b Block) Deinterleave(chips *bitutil.ChipWords) *bitutil.ChipWords {
+//
+// dst is reset to chips.Len() chips over its own words, so a caller that
+// deinterleaves many streams reuses one buffer; dst must not share words
+// with chips.
+func (b Block) DeinterleaveInto(dst, chips *bitutil.ChipWords) {
 	n, size := chips.Len(), b.Size()
 	m := n / size * size
-	words := make([]uint64, (n+63)/64)
+	dst.Reset(n)
+	dst.Fill(0, m, 0)
 	var blk [32]uint64
 	for tile := 0; tile < m; tile += size {
 		if chips.NextSet(tile, tile+size) == tile+size {
@@ -82,14 +87,12 @@ func (b Block) Deinterleave(chips *bitutil.ChipWords) *bitutil.ChipWords {
 				}
 				transpose32x2(&blk)
 				for j := range min(32, b.rows-r0) {
-					orChips(words, tile+(r0+j)*b.cols+c0, blk[j])
+					dst.Or64(tile+(r0+j)*b.cols+c0, blk[j])
 				}
 			}
 		}
 	}
-	out := bitutil.ChipWordsOf(words).Slice(0, n)
-	out.CopyFrom(m, chips, m, n-m)
-	return out
+	dst.CopyFrom(m, chips, m, n-m)
 }
 
 // transpose32x2 transposes the two 32×32 bit matrices held in the high and
@@ -106,16 +109,5 @@ func transpose32x2(a *[32]uint64) {
 			a[k] ^= t
 			a[k+j] ^= t << j
 		}
-	}
-}
-
-// orChips ORs the 64 chips of v (chip 0 at bit 63) into the packed stream
-// words at chip offset off. A chip of v past the stream's end is never
-// set, so the second word is touched only when it exists.
-func orChips(words []uint64, off int, v uint64) {
-	sh := uint(off % 64)
-	words[off/64] |= v >> sh
-	if spill := v << (64 - sh); spill != 0 {
-		words[off/64+1] |= spill
 	}
 }

@@ -29,9 +29,15 @@ func refPermute(b Block, data []byte, forward bool) []byte {
 	return out
 }
 
-// deinterleave runs the packed Deinterleave on a byte-per-bit stream.
+// reused is the one buffer every deinterleave call writes into, as a
+// scoring worker reuses one: a result that depended on what an earlier,
+// longer or denser stream left behind would fail the comparisons.
+var reused bitutil.ChipWords
+
+// deinterleave runs the packed DeinterleaveInto on a byte-per-bit stream.
 func deinterleave(b Block, bits []byte) []byte {
-	return b.Deinterleave(bitutil.PackChipBytes(bits)).Bytes()
+	b.DeinterleaveInto(&reused, bitutil.PackChipBytes(bits))
+	return reused.Bytes()
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -59,10 +65,11 @@ func TestInterleaveIsPermutation(t *testing.T) {
 	for p := range seen {
 		chips := bitutil.NewChipWords(len(seen))
 		chips.SetBit(p, 1)
-		out := b.Deinterleave(chips)
+		out := new(bitutil.ChipWords)
+		b.DeinterleaveInto(out, chips)
 		q := out.NextSet(0, out.Len())
-		if out.OnesCount() != 1 || seen[q] {
-			t.Fatalf("channel chip %d: %d set chips out, first at %d (seen %v)", p, out.OnesCount(), q, seen[q])
+		if q == out.Len() || out.NextSet(q+1, out.Len()) != out.Len() || seen[q] {
+			t.Fatalf("channel chip %d: not exactly one set chip out, first at %d (seen %v)", p, q, seen[q])
 		}
 		seen[q] = true
 	}
@@ -73,7 +80,8 @@ func TestInterleaveIsPermutation(t *testing.T) {
 // 32×32 transpose block (so partial blocks at every edge), the default
 // 32×48 geometry among them; streams of no tile, a tile less a chip
 // (copied through), whole tiles and trailing partial tiles; and clean,
-// sparse plus a burst, half-set and all-ones patterns.
+// sparse plus a burst, half-set and all-ones patterns; all into one
+// reused buffer.
 func TestDeinterleaveMatchesReference(t *testing.T) {
 	rng := stats.NewRNG(24)
 	var geoms [][2]int
@@ -116,7 +124,8 @@ func TestBurstSpreading(t *testing.T) {
 	for i := 100; i < 116; i++ {
 		tx.SetBit(i, 1)
 	}
-	rx := b.Deinterleave(tx)
+	rx := new(bitutil.ChipWords)
+	b.DeinterleaveInto(rx, tx)
 	var errPos []int
 	for p := rx.NextSet(0, rx.Len()); p < rx.Len(); p = rx.NextSet(p+1, rx.Len()) {
 		errPos = append(errPos, p)

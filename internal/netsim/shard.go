@@ -229,6 +229,7 @@ type shard struct {
 	obs shardObs
 
 	overlaps []radio.Overlap // receive() scratch, reused across windows
+	synth    radio.Scratch   // receive()'s synthesis window, reused likewise
 
 	// Jammer observation scratch, reused across polls (the Observation
 	// contract says so); obsBusy is sized to the channel count when the
@@ -714,8 +715,9 @@ func (s *shard) receive(tx *airTx, to int, sent frame.Frame) *frame.Reception {
 	s.overlaps = overlaps // retain grown capacity for the next window
 	rng := s.rs.base.Derive(uint64(to), uint64(tx.start), tagChannel)
 	// The synthesizer's packed stream feeds the receiver directly — no
-	// per-reception repack on the closed-loop path either.
-	chips := radio.SynthesizeFading(rng, n, overlaps, s.rs.noiseMW, radio.DefaultCoherenceChips)
+	// per-reception repack on the closed-loop path either. The window is
+	// reused by the next receive: receptions keep decisions, not chips.
+	chips := s.synth.SynthesizeFading(rng, n, overlaps, s.rs.noiseMW, radio.DefaultCoherenceChips)
 	recs := s.rx.Receive(chips)
 	// On a shared channel the window can contain other packets: keep only
 	// receptions of the transmitted frame before picking the best.

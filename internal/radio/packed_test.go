@@ -34,10 +34,19 @@ func patternChips(n int, v byte) *bitutil.ChipWords {
 	return bitutil.PackChipBytes(b)
 }
 
+// onesCount returns the number of 1 chips in w.
+func onesCount(w *bitutil.ChipWords) int {
+	n := 0
+	for i := w.NextSet(0, w.Len()); i < w.Len(); i = w.NextSet(i+1, w.Len()) {
+		n++
+	}
+	return n
+}
+
 // flipRate measures the empirical chip error rate of a synthesized stream
 // against an all-v transmitted pattern.
 func flipRate(out *bitutil.ChipWords, v byte) float64 {
-	ones := out.OnesCount()
+	ones := onesCount(out)
 	if v != 0 {
 		return float64(out.Len()-ones) / float64(out.Len())
 	}
@@ -58,7 +67,7 @@ func TestSynthesizeFlipRateMatchesModelAcrossSINR(t *testing.T) {
 	for i, sigDBm := range []float64{-75, -88, -92, -95, -98} {
 		rng := stats.NewRNG(uint64(100 + i))
 		sig := radio.DBmToMW(sigDBm)
-		out := radio.Synthesize(rng, n, []radio.Overlap{{Start: 0, Chips: chips, PowerMW: sig}}, noise)
+		out := new(radio.Scratch).Synthesize(rng, n, []radio.Overlap{{Start: 0, Chips: chips, PowerMW: sig}}, noise)
 		want := radio.ChipErrProb(sig / noise)
 		got := flipRate(out, 1)
 		// Binomial standard error plus a safety factor of 5.
@@ -80,7 +89,7 @@ func TestSynthesizeMatchesByteReferenceStatistically(t *testing.T) {
 	b := radio.Overlap{Start: 160000, Chips: patternChips(120000, 0), PowerMW: radio.DBmToMW(-87)}
 	overlaps := []radio.Overlap{a, b}
 
-	packed := radio.Synthesize(stats.NewRNG(7), n, overlaps, noise)
+	packed := new(radio.Scratch).Synthesize(stats.NewRNG(7), n, overlaps, noise)
 	ref := bitutil.PackChipBytes(synthref.Synthesize(stats.NewRNG(7), n, overlaps, noise))
 
 	segments := []struct {
@@ -94,8 +103,8 @@ func TestSynthesizeMatchesByteReferenceStatistically(t *testing.T) {
 	}
 	for _, seg := range segments {
 		w := seg.hi - seg.lo
-		gp := float64(packed.Slice(seg.lo, seg.hi).OnesCount()) / float64(w)
-		gr := float64(ref.Slice(seg.lo, seg.hi).OnesCount()) / float64(w)
+		gp := float64(onesCount(packed.Slice(seg.lo, seg.hi))) / float64(w)
+		gr := float64(onesCount(ref.Slice(seg.lo, seg.hi))) / float64(w)
 		// Two independent binomial samples: tolerance ~5 joint standard
 		// errors at worst-case p=0.5.
 		tol := 5 * math.Sqrt(2*0.25/float64(w))
@@ -112,7 +121,7 @@ func TestSynthesizeMatchesByteReferenceStatistically(t *testing.T) {
 func TestSynthesizeNoiseWordBalance(t *testing.T) {
 	const n = 64 * 4000
 	rng := stats.NewRNG(11)
-	out := radio.Synthesize(rng, n, nil, radio.DBmToMW(-95))
+	out := new(radio.Scratch).Synthesize(rng, n, nil, radio.DBmToMW(-95))
 	var byPos [64]int
 	for i := 0; i < n; i++ {
 		byPos[i%64] += int(out.Bit(i))
@@ -141,7 +150,7 @@ func TestSynthesizeUnalignedSegmentsMatchModel(t *testing.T) {
 		const txLen = 100000
 		o := radio.Overlap{Start: start, Chips: patternChips(txLen, 1), PowerMW: radio.DBmToMW(-60)}
 		n := start + txLen + 77
-		out := radio.Synthesize(rng, n, []radio.Overlap{o}, noise)
+		out := new(radio.Scratch).Synthesize(rng, n, []radio.Overlap{o}, noise)
 		// 35 dB SNR: the dominant region must be exactly the transmitted
 		// pattern (flip probability ~1e-12).
 		for i := start; i < start+txLen; i++ {
@@ -150,8 +159,8 @@ func TestSynthesizeUnalignedSegmentsMatchModel(t *testing.T) {
 			}
 		}
 		// The surrounding noise must be balanced, not zero-filled.
-		head := out.Slice(0, start).OnesCount()
-		tail := out.Slice(start+txLen, n).OnesCount()
+		head := onesCount(out.Slice(0, start))
+		tail := onesCount(out.Slice(start+txLen, n))
 		if start > 32 && head == 0 {
 			t.Errorf("start %d: noise head all zero", start)
 		}
@@ -169,7 +178,7 @@ func TestSynthesizeSharedBoundSegments(t *testing.T) {
 	noise := radio.DBmToMW(-95)
 	a := radio.Overlap{Start: 0, Chips: patternChips(5000, 1), PowerMW: radio.DBmToMW(-60)}
 	b := radio.Overlap{Start: 5000, Chips: patternChips(5000, 0), PowerMW: radio.DBmToMW(-60)}
-	out := radio.Synthesize(stats.NewRNG(3), 10000, []radio.Overlap{a, b}, noise)
+	out := new(radio.Scratch).Synthesize(stats.NewRNG(3), 10000, []radio.Overlap{a, b}, noise)
 	p := radio.ChipErrProb(a.PowerMW / noise)
 	// Allow 5 standard deviations of binomial spread plus one chip.
 	tol := 5*math.Sqrt(5000*p*(1-p)) + 1 + 5000*p

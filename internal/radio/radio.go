@@ -127,39 +127,88 @@ type Overlap struct {
 // End returns the window-relative chip index one past the transmission.
 func (o Overlap) End() int { return o.Start + o.Chips.Len() }
 
+// Scratch owns the buffers synthesis reuses from one window to the next:
+// the output window, the faded overlaps with the block views they point
+// at, and the segment sweep's event lists. A zero Scratch is ready to use.
+// The stream a Scratch returns is its own window, valid until that
+// Scratch's next call; a caller that must keep chips past it copies them.
+// Each goroutine that synthesizes owns its Scratch (a sim delivery worker,
+// a netsim shard).
+type Scratch struct {
+	out          bitutil.ChipWords
+	faded        []Overlap
+	views        []bitutil.ChipWords
+	bounds       []int
+	enter, leave []uint64
+	active       []int
+}
+
 // forEachSegment walks the window [0, n) in maximal spans over which the
-// active transmission set is constant: boundaries are collected from every
-// overlap's entry and exit, sorted and deduplicated, and each span is
-// resolved once to its dominant (strongest) transmission and the total
-// active power. dom is nil on pure-noise spans.
-func forEachSegment(n int, overlaps []Overlap, fn func(lo, hi int, dom *Overlap, total float64)) {
-	bounds := make([]int, 0, 2+2*len(overlaps))
-	bounds = append(bounds, 0, n)
-	for _, o := range overlaps {
-		if s := o.Start; s > 0 && s < n {
-			bounds = append(bounds, s)
+// active transmission set is constant, resolving each span once to its
+// dominant (strongest) transmission and the total active power. dom is
+// nil on pure-noise spans.
+//
+// Boundaries are every overlap's entry and exit that falls inside (0, n),
+// sorted and deduplicated — a zero-length overlap's too, since each
+// boundary starts a new run of draws. A sweep then moves overlaps into and
+// out of the active set at their clipped entry and exit, keeping the set
+// in overlap-index order: total sums the active powers in index order,
+// and dom is the first maximum in that order (strict >), exactly as a scan
+// of every overlap per span would find them, in time proportional to the
+// active set instead of the whole list.
+func (s *Scratch) forEachSegment(n int, overlaps []Overlap, fn func(lo, hi int, dom *Overlap, total float64)) {
+	bounds := append(s.bounds[:0], 0, n)
+	enter, leave := s.enter[:0], s.leave[:0]
+	for i, o := range overlaps {
+		st, e := o.Start, o.End()
+		if st > 0 && st < n {
+			bounds = append(bounds, st)
 		}
-		if e := o.End(); e > 0 && e < n {
+		if e > 0 && e < n {
 			bounds = append(bounds, e)
+		}
+		// Events pack (clipped position, index) so one integer sort
+		// orders them; positions lie in [0, n], and n < 2³².
+		if lo, hi := max(st, 0), min(e, n); lo < hi {
+			enter = append(enter, uint64(lo)<<32|uint64(i))
+			leave = append(leave, uint64(hi)<<32|uint64(i))
 		}
 	}
 	slices.Sort(bounds)
 	bounds = slices.Compact(bounds)
+	slices.Sort(enter)
+	slices.Sort(leave)
+	s.bounds, s.enter, s.leave = bounds, enter, leave
+
+	active := s.active[:0]
 	for bi := 0; bi+1 < len(bounds); bi++ {
 		lo, hi := bounds[bi], bounds[bi+1]
+		// Every clipped entry and exit is a boundary, so an overlap that
+		// entered at or before lo and has not left covers all of [lo, hi).
+		for len(leave) > 0 && int(leave[0]>>32) <= lo {
+			idx := int(uint32(leave[0]))
+			k, _ := slices.BinarySearch(active, idx)
+			active = slices.Delete(active, k, k+1)
+			leave = leave[1:]
+		}
+		for len(enter) > 0 && int(enter[0]>>32) <= lo {
+			idx := int(uint32(enter[0]))
+			k, _ := slices.BinarySearch(active, idx)
+			active = slices.Insert(active, k, idx)
+			enter = enter[1:]
+		}
 		var dom *Overlap
 		var total float64
-		for i := range overlaps {
+		for _, i := range active {
 			o := &overlaps[i]
-			if o.Start <= lo && o.End() >= hi {
-				total += o.PowerMW
-				if dom == nil || o.PowerMW > dom.PowerMW {
-					dom = o
-				}
+			total += o.PowerMW
+			if dom == nil || o.PowerMW > dom.PowerMW {
+				dom = o
 			}
 		}
 		fn(lo, hi, dom, total)
 	}
+	s.active = active[:0]
 }
 
 // flipSparse flips each chip of out[lo, hi) independently with probability
@@ -196,13 +245,16 @@ func flipSparse(rng *stats.RNG, out *bitutil.ChipWords, lo, hi int, p float64) {
 // The window is processed in segments between transmission boundaries, so
 // the active set, dominant signal and chip error probability are computed
 // once per segment; within a segment, work is word-level (see the package
-// comment), so cost scales with errors rather than chips.
-func Synthesize(rng *stats.RNG, n int, overlaps []Overlap, noiseMW float64) *bitutil.ChipWords {
-	if n < 0 {
-		panic(fmt.Sprintf("radio: negative window %d", n))
+// comment), so cost scales with errors rather than chips. The segments
+// cover [0, n), so every chip of the reused window is written and it needs
+// no clearing. The result is s's window (see Scratch).
+func (s *Scratch) Synthesize(rng *stats.RNG, n int, overlaps []Overlap, noiseMW float64) *bitutil.ChipWords {
+	if n < 0 || uint64(n) >= 1<<32 {
+		panic(fmt.Sprintf("radio: window of %d chips", n))
 	}
-	out := bitutil.NewChipWords(n)
-	forEachSegment(n, overlaps, func(lo, hi int, dom *Overlap, total float64) {
+	out := &s.out
+	out.Reset(n)
+	s.forEachSegment(n, overlaps, func(lo, hi int, dom *Overlap, total float64) {
 		if dom == nil {
 			out.FillUniform(lo, hi, rng.Uint64)
 			return
@@ -245,12 +297,22 @@ func ricianPowerFade(rng *stats.RNG, k float64) float64 {
 // independent unit-mean Rician power fade around its mean received power.
 // Fading is what pushes marginal links into partial-packet territory even
 // without collisions — some stretches of a packet fade out or degrade
-// while the rest arrives clean.
-func SynthesizeFading(rng *stats.RNG, n int, overlaps []Overlap, noiseMW float64, coherenceChips int) *bitutil.ChipWords {
+// while the rest arrives clean. The result is s's window (see Scratch).
+func (s *Scratch) SynthesizeFading(rng *stats.RNG, n int, overlaps []Overlap, noiseMW float64, coherenceChips int) *bitutil.ChipWords {
 	if coherenceChips <= 0 {
-		return Synthesize(rng, n, overlaps, noiseMW)
+		return s.Synthesize(rng, n, overlaps, noiseMW)
 	}
-	faded := make([]Overlap, 0, len(overlaps)*4)
+	blocks := 0
+	for _, o := range overlaps {
+		blocks += (o.Chips.Len() + coherenceChips - 1) / coherenceChips
+	}
+	// The views are sized before any faded overlap points into them, so
+	// no pointer taken below outlives a reallocation.
+	if cap(s.views) < blocks {
+		s.views = make([]bitutil.ChipWords, blocks)
+	}
+	views := s.views[:blocks]
+	faded := s.faded[:0]
 	for _, o := range overlaps {
 		// Split the overlap into coherence blocks, each with its own fade.
 		// Block boundaries are aligned to the transmission, not the window,
@@ -258,16 +320,15 @@ func SynthesizeFading(rng *stats.RNG, n int, overlaps []Overlap, noiseMW float64
 		// coherenceChips is a multiple of 64 (the default) the blocks are
 		// zero-copy views of the transmit stream.
 		for blk := 0; blk < o.Chips.Len(); blk += coherenceChips {
-			end := blk + coherenceChips
-			if end > o.Chips.Len() {
-				end = o.Chips.Len()
-			}
+			v := &views[len(faded)]
+			*v = o.Chips.View(blk, min(blk+coherenceChips, o.Chips.Len()))
 			faded = append(faded, Overlap{
 				Start:   o.Start + blk,
-				Chips:   o.Chips.Slice(blk, end),
+				Chips:   v,
 				PowerMW: o.PowerMW * ricianPowerFade(rng, RicianK),
 			})
 		}
 	}
-	return Synthesize(rng, n, faded, noiseMW)
+	s.faded = faded
+	return s.Synthesize(rng, n, faded, noiseMW)
 }

@@ -8,6 +8,8 @@
 package schemes
 
 import (
+	"sync"
+
 	"ppr/internal/bitutil"
 	"ppr/internal/fec"
 	"ppr/internal/interleave"
@@ -56,9 +58,14 @@ func codedRegion(pat *bitutil.ChipWords, n int) *bitutil.ChipWords {
 	}
 	out := bitutil.NewChipWords(n)
 	out.CopyFrom(0, pat, 0, pat.Len())
-	out.FillUniform(pat.Len(), n, func() uint64 { return ^uint64(0) })
+	out.Fill(pat.Len(), n, 1)
 	return out
 }
+
+// deinterleaved recycles the FEC+interleaving scheme's deinterleave
+// buffers across outcomes and scoring workers: one buffer per concurrent
+// score instead of a fresh stream per damaged outcome.
+var deinterleaved = sync.Pool{New: func() any { return new(bitutil.ChipWords) }}
 
 // ---- Block FEC (Sec. 8.3's coding alternative) ----
 
@@ -114,7 +121,11 @@ func (s BlockFEC) DeliveredAppBytes(pat *bitutil.ChipWords, o *sim.Outcome, p Pa
 		// decoder; a trailing region shorter than one tile went (and comes
 		// back) uninterleaved.
 		rows, cols := ilGeometry(p)
-		region = interleave.New(rows, cols).Deinterleave(region.Slice(0, nBlocks*codedBits))
+		coded := region.View(0, nBlocks*codedBits)
+		buf := deinterleaved.Get().(*bitutil.ChipWords)
+		defer deinterleaved.Put(buf)
+		interleave.New(rows, cols).DeinterleaveInto(buf, &coded)
+		region = buf
 	}
 	delivered := 0
 	for b := 0; b < nBlocks; b++ {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -144,8 +145,8 @@ func TestCorrectMaskEdgeCases(t *testing.T) {
 		// words, so the pattern's tail is masked to its length.
 		o := &Outcome{TruthSyms: make([]byte, 20)}
 		pat := o.ErrorPattern()
-		if pat.Len() != 80 || pat.OnesCount() != 80 {
-			t.Errorf("%d of %d chips set, want all 80", pat.OnesCount(), pat.Len())
+		if pat.Len() != 80 || !bytes.Equal(pat.Bytes(), bytes.Repeat([]byte{1}, 80)) {
+			t.Errorf("pattern %v, want all 80 chips set", pat.Bytes())
 		}
 	})
 

@@ -467,6 +467,7 @@ type deliverState struct {
 	rx       *frame.Receiver
 	syncs    []frame.Sync
 	overlaps []radio.Overlap
+	synth    radio.Scratch
 }
 
 // deliverWindow synthesizes one window's chip stream, runs one receive pass
@@ -485,8 +486,9 @@ func deliverWindow(cfg Config, w window, st *deliverState, rng *stats.RNG) []Out
 		})
 	}
 	// The synthesizer's packed output is the receiver's buffer directly —
-	// no repack between channel and sync scan.
-	buf := radio.SynthesizeFading(rng, w.length, st.overlaps, noiseMW, radio.DefaultCoherenceChips)
+	// no repack between channel and sync scan. It is st's reused window:
+	// outcomes copy their decisions, so no chip outlives this call.
+	buf := st.synth.SynthesizeFading(rng, w.length, st.overlaps, noiseMW, radio.DefaultCoherenceChips)
 	st.syncs = frame.AppendSyncs(st.syncs[:0], buf, frame.DefaultSyncMaxDist)
 	recs, preamble := st.rx.ReceiveSynced(buf, st.syncs)
 
