@@ -629,6 +629,40 @@ func BenchmarkFindSyncs(b *testing.B) {
 			}
 		}
 	})
+	// dsss scans back-to-back frames with random payloads and no noise
+	// between them: the stream a radio head and a netsim receiver scan.
+	// Every run of two equal symbols 0–7 in it reproduces the sync pad's
+	// period, so strided probes hit far more often than on noise.
+	dsss := benchDSSSStream()
+	wantDSSS := len(frame.FindSyncs(dsss, frame.DefaultSyncMaxDist))
+	if wantDSSS < 16 { // 8 frames x (preamble + postamble)
+		b.Fatalf("DSSS stream yields only %d syncs", wantDSSS)
+	}
+	b.Run("dsss", func(b *testing.B) {
+		b.SetBytes(int64(dsss.Len()))
+		var syncs []frame.Sync
+		for i := 0; i < b.N; i++ {
+			syncs = frame.AppendSyncs(syncs[:0], dsss, frame.DefaultSyncMaxDist)
+			if len(syncs) != wantDSSS {
+				b.Fatalf("got %d syncs, want %d", len(syncs), wantDSSS)
+			}
+		}
+	})
+}
+
+// benchDSSSStream spreads eight back-to-back frames with random payloads
+// of 64–1500 bytes.
+func benchDSSSStream() *frame.ChipBuffer {
+	rng := stats.NewRNG(17)
+	var air []byte
+	for f := 0; f < 8; f++ {
+		payload := make([]byte, 64+rng.Intn(frame.MaxPayload-63))
+		for i := range payload {
+			payload[i] = byte(rng.Intn(256))
+		}
+		air = frame.New(1, 2, uint16(f), payload).AppendAirBytes(air)
+	}
+	return phy.SpreadPacked(air)
 }
 
 // BenchmarkBlockRepaired measures the FEC schemes' per-block question,

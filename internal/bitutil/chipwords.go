@@ -303,6 +303,11 @@ func (w *ChipWords) Reset(n int) {
 	}
 }
 
+// SetWord sets chips [64i, 64i+64) to v, chip 64i at bit 63: the
+// word-at-a-time writer for a producer that rewrites every word of a Reset
+// stream (the transmitter's spread).
+func (w *ChipWords) SetWord(i int, v uint64) { w.words[i] = v }
+
 // Bytes unpacks to a byte-per-chip stream — the adapter back to the
 // sample-level modem boundary.
 func (w *ChipWords) Bytes() []byte {

@@ -21,8 +21,8 @@ package frame
 
 import (
 	"fmt"
+	"slices"
 
-	"ppr/internal/bitutil"
 	"ppr/internal/chipseq"
 	"ppr/internal/crcutil"
 	"ppr/internal/phy"
@@ -90,16 +90,16 @@ type Header struct {
 	Seq uint16
 }
 
-// Encode serializes the header fields followed by their CRC-16.
-func (h Header) Encode() []byte {
-	b := make([]byte, 0, HeaderBytes)
-	b = append(b,
+// appendTo appends the header fields followed by their CRC-16.
+func (h Header) appendTo(dst []byte) []byte {
+	start := len(dst)
+	dst = append(dst,
 		byte(h.Length>>8), byte(h.Length),
 		byte(h.Dst>>8), byte(h.Dst),
 		byte(h.Src>>8), byte(h.Src),
 		byte(h.Seq>>8), byte(h.Seq),
 	)
-	return crcutil.Append16(b, b)
+	return crcutil.Append16(dst, dst[start:])
 }
 
 // ParseHeader decodes a 10-byte header/trailer and verifies its CRC-16.
@@ -169,25 +169,37 @@ var (
 // preamble, header, payload, packet CRC-32, trailer (header replica), and
 // postamble.
 func (f Frame) AirBytes() []byte {
-	hdr := f.Hdr.Encode()
-	out := make([]byte, 0, AirBytes(len(f.Payload)))
-	out = append(out, preamble[:]...)
-	out = append(out, hdr...)
-	out = append(out, f.Payload...)
+	return f.AppendAirBytes(make([]byte, 0, AirBytes(len(f.Payload))))
+}
+
+// AppendAirBytes is AirBytes appending to dst.
+func (f Frame) AppendAirBytes(dst []byte) []byte {
+	dst = append(dst, preamble[:]...)
+	h := len(dst)
+	dst = f.Hdr.appendTo(dst)
+	dst = append(dst, f.Payload...)
 	// The packet CRC covers the header fields and payload — "a CRC covering
 	// the entire link-layer packet's contents" (Sec. 2).
-	crc := crcutil.Update32(crcutil.Update32(0, hdr[:HeaderFieldBytes]), f.Payload)
-	out = append(out, byte(crc>>24), byte(crc>>16), byte(crc>>8), byte(crc))
-	out = append(out, hdr...) // trailer replicates the header
-	out = append(out, postamble[:]...)
-	return out
+	crc := crcutil.Update32(crcutil.Update32(0, dst[h:h+HeaderFieldBytes]), f.Payload)
+	dst = append(dst, byte(crc>>24), byte(crc>>16), byte(crc>>8), byte(crc))
+	dst = append(dst, dst[h:h+HeaderBytes]...) // trailer replicates the header
+	return append(dst, postamble[:]...)
 }
 
 // AirChips returns the frame's packed on-air chip stream, one air byte's
 // two codewords per word — the representation the channel synthesizer and
 // receiver operate on natively.
-func (f Frame) AirChips() *bitutil.ChipWords {
+func (f Frame) AirChips() *ChipBuffer {
 	return phy.SpreadPacked(f.AirBytes())
+}
+
+// AirChipsInto is AirChips writing into caller-owned buffers, for a radio
+// head that spreads frame after frame: chips is rewritten in full, and air
+// is the air-byte scratch, returned (grown if needed) for the next call.
+func (f Frame) AirChipsInto(chips *ChipBuffer, air []byte) []byte {
+	air = f.AppendAirBytes(slices.Grow(air[:0], AirBytes(len(f.Payload))))
+	phy.SpreadInto(chips, air)
+	return air
 }
 
 // PacketCRC32OK recomputes the whole-packet CRC over decoded header fields

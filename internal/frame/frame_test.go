@@ -18,7 +18,7 @@ func TestHeaderEncodeParseRoundTrip(t *testing.T) {
 		if h == (Header{}) {
 			h.Seq = 1 // the all-zero header is deliberately unparseable
 		}
-		got, ok := ParseHeader(h.Encode())
+		got, ok := ParseHeader(h.appendTo(nil))
 		return ok && got == h
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -37,7 +37,7 @@ func TestParseHeaderRejectsAllZero(t *testing.T) {
 
 func TestParseHeaderRejectsCorruption(t *testing.T) {
 	h := Header{Length: 100, Dst: 1, Src: 2, Seq: 3}
-	enc := h.Encode()
+	enc := h.appendTo(nil)
 	for bit := 0; bit < len(enc)*8; bit++ {
 		enc[bit/8] ^= 1 << uint(bit%8)
 		if _, ok := ParseHeader(enc); ok {
@@ -49,7 +49,7 @@ func TestParseHeaderRejectsCorruption(t *testing.T) {
 
 func TestParseHeaderRejectsOversizeLength(t *testing.T) {
 	h := Header{Length: MaxPayload + 1}
-	if _, ok := ParseHeader(h.Encode()); ok {
+	if _, ok := ParseHeader(h.appendTo(nil)); ok {
 		t.Error("accepted length beyond MaxPayload")
 	}
 }
@@ -115,13 +115,17 @@ func TestAirChipsLength(t *testing.T) {
 // fields and payload, spread codeword by codeword, packed chip by chip.
 func TestAirChipsMatchesBytePath(t *testing.T) {
 	rng := stats.NewRNG(2108)
-	for _, n := range []int{0, 1, 2, 99, 600, MaxPayload - 1, MaxPayload} {
+	// AirChipsInto reuses one chip buffer and one air-byte scratch across
+	// the sizes, shrinking after the largest, and must match AirChips.
+	var chips ChipBuffer
+	var air []byte
+	for _, n := range []int{0, 1, 2, 99, 600, MaxPayload - 1, MaxPayload, 256, 3} {
 		payload := make([]byte, n)
 		for i := range payload {
 			payload[i] = byte(rng.Intn(256))
 		}
 		f := New(uint16(rng.Intn(1<<16)), 2, uint16(n), payload)
-		hdr := f.Hdr.Encode()
+		hdr := f.Hdr.appendTo(nil)
 		var want []byte
 		want = append(want, 0, 0, 0, 0, SFD)
 		want = append(want, hdr...)
@@ -136,6 +140,11 @@ func TestAirChipsMatchesBytePath(t *testing.T) {
 		if got := f.AirChips(); got.Len() != wantChips.Len() || !bytes.Equal(got.Bytes(), wantChips.Bytes()) {
 			t.Fatalf("%d B: air chips differ from the codeword path", n)
 		}
+		air = f.AirChipsInto(&chips, air)
+		if !bytes.Equal(air, want) || chips.Len() != wantChips.Len() || !bytes.Equal(chips.Bytes(), wantChips.Bytes()) {
+			t.Fatalf("%d B: AirChipsInto on reused buffers differs from the codeword path", n)
+		}
+		chips.Fill(0, chips.Len(), 1)
 	}
 }
 

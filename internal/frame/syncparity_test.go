@@ -205,6 +205,74 @@ func TestFindSyncsStrideBoundaries(t *testing.T) {
 	}
 }
 
+// symbolRunStreams builds DSSS streams around runs of 2–8 equal symbols
+// 0–7. Codewords 0–7 are 4-chip rotations of one another, so such a run
+// repeats the sync pad's 32-chip period at a shifted phase: its probes hit
+// and the pruning walk runs, over as many passing windows as the run
+// allows. Each run carries 0, half of or exactly DefaultSyncMaxDist chip
+// errors, and sits at a buffer end — starting a few chips in, ending a few
+// chips short — or just before a clean preamble at the buffer's end.
+func symbolRunStreams() []strideStream {
+	rng := stats.NewRNG(2007)
+	noise := func(n int) []byte {
+		out := make([]byte, n)
+		for i := range out {
+			out[i] = byte(rng.Intn(2))
+		}
+		return out
+	}
+	symbols := func(n int) []byte {
+		out := make([]byte, n)
+		for i := range out {
+			out[i] = byte(rng.Intn(16))
+		}
+		return phy.ChipsOf(phy.SpreadSymbols(out))
+	}
+	preamble := frame.New(1, 2, 3, nil).AirChips().Bytes()[:frame.SyncChips]
+	var out []strideStream
+	for runLen := 2; runLen <= 8; runLen++ {
+		for sym := byte(0); sym < 8; sym++ {
+			run := make([]byte, runLen)
+			for i := range run {
+				run[i] = sym
+			}
+			runChips := phy.ChipsOf(phy.SpreadSymbols(run))
+			flips := []int{0, frame.DefaultSyncMaxDist / 2, frame.DefaultSyncMaxDist}[(runLen+int(sym))%3]
+			for _, j := range rng.Perm(len(runChips))[:flips] {
+				runChips[j] ^= 1
+			}
+			shift := (7*runLen + int(sym)) % 32
+			name := fmt.Sprintf("run%dx%d/flips%d", runLen, sym, flips)
+			start := append(append(noise(shift), runChips...), symbols(12)...)
+			out = append(out, strideStream{name + "@start", start, -1})
+			end := append(append(symbols(12), runChips...), noise(shift)...)
+			out = append(out, strideStream{name + "@end", end, -1})
+			sync := append(append(symbols(6), runChips...), preamble...)
+			out = append(out, strideStream{name + "+preamble", sync, len(sync) - frame.SyncChips})
+		}
+	}
+	return out
+}
+
+// TestFindSyncsSymbolRuns pins the pruned scan to the reference on the
+// streams where neighbour pruning decides: runs of equal low symbols,
+// noisy up to the threshold, against both buffer ends and a genuine sync.
+func TestFindSyncsSymbolRuns(t *testing.T) {
+	for _, st := range symbolRunStreams() {
+		buf := frame.NewChipBuffer(st.chips)
+		for _, maxDist := range strideMaxDists {
+			got := frame.FindSyncs(buf, maxDist)
+			want := syncref.FindSyncs(buf, maxDist)
+			if !syncsEqual(got, want) {
+				t.Errorf("%s maxDist=%d:\n got %+v\nwant %+v", st.name, maxDist, got, want)
+			}
+			if st.at >= 0 && maxDist == 0 && !hasSyncAt(want, st.at) {
+				t.Errorf("%s: reference misses the clean preamble at %d: %+v", st.name, st.at, want)
+			}
+		}
+	}
+}
+
 // hasSyncAt reports whether syncs holds a distance-0 detection at off.
 func hasSyncAt(syncs []frame.Sync, off int) bool {
 	for _, s := range syncs {
@@ -237,6 +305,9 @@ func FuzzFindSyncsParity(f *testing.F) {
 		f.Add(packChips(chips), frame.DefaultSyncMaxDist)
 	}
 	for i, st := range strideEdgeStreams() {
+		f.Add(packChips(st.chips), strideMaxDists[i%len(strideMaxDists)])
+	}
+	for i, st := range symbolRunStreams() {
 		f.Add(packChips(st.chips), strideMaxDists[i%len(strideMaxDists)])
 	}
 	f.Fuzz(func(t *testing.T, data []byte, maxDist int) {

@@ -53,3 +53,18 @@ func sleepOr(d time.Duration, ch <-chan struct{}) {
 	case <-ch:
 	}
 }
+
+// arm starts the timer *t for d, creating it on first use, and returns its
+// channel: the one-timer-per-owner pattern of sessions and flows, whose
+// waits run one at a time. Under the Go 1.23 timer semantics (go.mod says
+// 1.24), Reset guarantees that no expiry of an earlier arming is received
+// afterwards, so a reused timer never ends a wait early. Each wait stops
+// the timer when it returns.
+func arm(t **time.Timer, d time.Duration) <-chan time.Time {
+	if *t == nil {
+		*t = time.NewTimer(d)
+	} else {
+		(*t).Reset(d)
+	}
+	return (*t).C
+}

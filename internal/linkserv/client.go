@@ -28,6 +28,7 @@ type ClientConfig struct {
 	// it enters the receiver pipeline — the simulated channel. It is called
 	// concurrently from every flow's transfer goroutine and must be safe
 	// for concurrent use (key any randomness off the flow ID, or lock).
+	// chips is a pooled buffer: Impair must not keep it past the call.
 	Impair func(dir byte, flow uint32, chips *frame.ChipBuffer)
 
 	// OpenTimeout bounds one open round trip. Default 5s.
@@ -98,8 +99,18 @@ type Client struct {
 	flows    map[uint32]*Flow
 	nextFlow uint32
 
-	rxPool sync.Pool
+	rxPool sync.Pool // of *radioHeadBuf
 	wg     sync.WaitGroup
+}
+
+// radioHeadBuf is one handleAir call's radio head: a receiver plus the
+// air-byte and chip-word buffers each frame is spread into. A call owns
+// its item from Get to Put; the spread rewrites every chip word, and the
+// reception is serialized before Put, so nothing outlives the item's use.
+type radioHeadBuf struct {
+	rx    *frame.Receiver
+	air   []byte
+	chips frame.ChipBuffer
 }
 
 // Dial connects to a link server over TCP.
@@ -123,7 +134,7 @@ func NewClient(conn net.Conn, cfg ClientConfig) *Client {
 		closedCh: make(chan struct{}),
 		flows:    map[uint32]*Flow{},
 	}
-	c.rxPool.New = func() any { return frame.NewReceiver(phy.HardDecoder{}) }
+	c.rxPool.New = func() any { return &radioHeadBuf{rx: frame.NewReceiver(phy.HardDecoder{})} }
 	c.wg.Add(2)
 	go c.reader()
 	go c.writer()
@@ -149,7 +160,16 @@ func (c *Client) Close() error {
 // Draining reports whether the server announced MsgGoAway.
 func (c *Client) Draining() bool { return c.goAway.Load() }
 
+// enqueue queues one outbound frame, waiting up to WriteTimeout for room.
+// A queue with room takes the frame without arming a timer.
 func (c *Client) enqueue(f wire.Frame) bool {
+	select {
+	case c.out <- f:
+		return true
+	case <-c.closedCh:
+		return false
+	default:
+	}
 	t := time.NewTimer(c.cfg.WriteTimeout)
 	defer t.Stop()
 	select {
@@ -223,6 +243,9 @@ type Flow struct {
 	mu      sync.Mutex // serializes Transfer/Close
 	nextXid uint32
 	closed  bool
+	// timer bounds whichever wait the flow is in (open, transfer, close);
+	// the waits are serialized, so one timer serves them all (see arm).
+	timer *time.Timer
 }
 
 // Open opens a new flow, retrying lost open round trips (the server's open
@@ -266,8 +289,8 @@ func (c *Client) Open() (*Flow, error) {
 
 // awaitOpen waits for the open verdict, tolerating unrelated traffic.
 func (f *Flow) awaitOpen() error {
-	t := time.NewTimer(f.c.cfg.OpenTimeout)
-	defer t.Stop()
+	expired := arm(&f.timer, f.c.cfg.OpenTimeout)
+	defer f.timer.Stop()
 	for {
 		select {
 		case m := <-f.inbox:
@@ -296,7 +319,7 @@ func (f *Flow) awaitOpen() error {
 			}
 		case <-f.c.closedCh:
 			return ErrClosed
-		case <-t.C:
+		case <-expired:
 			return ErrTimeout
 		}
 	}
@@ -332,14 +355,16 @@ func (f *Flow) Transfer(payload []byte) ([]byte, pparq.Stats, error) {
 	xid := f.nextXid
 	f.c.m.transfers.Inc()
 
+	// Every attempt re-sends the same request; the queued body is never
+	// written to after the writer takes it.
+	body := append(binaryU32(make([]byte, 0, 4+len(payload)), xid), payload...)
 	bo := newBackoff(f.c.cfg.BackoffBase, f.c.cfg.BackoffCap)
 	for attempt := 0; attempt <= f.c.cfg.Retries; attempt++ {
 		if attempt > 0 {
 			f.c.m.retries.Inc()
 			sleepOr(bo.Next(), f.c.closedCh)
 		}
-		if !f.c.enqueue(wire.Frame{Type: MsgTransfer, Flow: f.id,
-			Payload: append(binaryU32(nil, xid), payload...)}) {
+		if !f.c.enqueue(wire.Frame{Type: MsgTransfer, Flow: f.id, Payload: body}) {
 			return nil, pparq.Stats{}, ErrClosed
 		}
 		delivered, st, err := f.serveRadioHead(xid)
@@ -376,14 +401,14 @@ func binaryU32(dst []byte, v uint32) []byte {
 // channel impairment) and its best reception goes back as MsgRx, until the
 // matching MsgDone arrives.
 func (f *Flow) serveRadioHead(xid uint32) ([]byte, pparq.Stats, error) {
-	t := time.NewTimer(f.c.cfg.RespTimeout)
-	defer t.Stop()
+	expired := arm(&f.timer, f.c.cfg.RespTimeout)
+	defer f.timer.Stop()
 	for {
 		select {
 		case m := <-f.inbox:
 			switch m.typ {
 			case MsgAir:
-				t.Reset(f.c.cfg.RespTimeout)
+				f.timer.Reset(f.c.cfg.RespTimeout)
 				f.handleAir(m.body)
 			case MsgDone:
 				done, err := parseDone(m.body)
@@ -421,15 +446,16 @@ func (f *Flow) serveRadioHead(xid uint32) ([]byte, pparq.Stats, error) {
 			}
 		case <-f.c.closedCh:
 			return nil, pparq.Stats{}, ErrClosed
-		case <-t.C:
+		case <-expired:
 			return nil, pparq.Stats{}, ErrTimeout
 		}
 	}
 }
 
-// handleAir runs one link-layer frame through the radio head. The pooled
-// receiver's reception is scratch-backed, so it is serialized before the
-// receiver returns to the pool.
+// handleAir runs one link-layer frame through the radio head: spread into
+// a pooled buffer, impaired in place, received by the pooled receiver. The
+// reception is scratch-backed, so it is serialized before the item returns
+// to the pool.
 func (f *Flow) handleAir(body []byte) {
 	m, err := parseAir(body)
 	if err != nil {
@@ -437,14 +463,14 @@ func (f *Flow) handleAir(body []byte) {
 		return
 	}
 	f.c.m.airs.Inc()
-	chips := frame.New(m.Dst, m.Src, m.Seq, m.Payload).AirChips()
+	h := f.c.rxPool.Get().(*radioHeadBuf)
+	h.air = frame.New(m.Dst, m.Src, m.Seq, m.Payload).AirChipsInto(&h.chips, h.air)
 	if f.c.cfg.Impair != nil {
-		f.c.cfg.Impair(m.Dir, f.id, chips)
+		f.c.cfg.Impair(m.Dir, f.id, &h.chips)
 	}
-	rx := f.c.rxPool.Get().(*frame.Receiver)
-	rec := frame.BestReception(rx.Receive(chips))
+	rec := frame.BestReception(h.rx.Receive(&h.chips))
 	resp := appendReception(nil, m.Exch, rec)
-	f.c.rxPool.Put(rx)
+	f.c.rxPool.Put(h)
 	f.c.enqueue(wire.Frame{Type: MsgRx, Flow: f.id, Payload: resp})
 }
 
@@ -461,8 +487,8 @@ func (f *Flow) Close() error {
 	if !f.c.enqueue(wire.Frame{Type: MsgClose, Flow: f.id}) {
 		return ErrClosed
 	}
-	t := time.NewTimer(f.c.cfg.OpenTimeout)
-	defer t.Stop()
+	expired := arm(&f.timer, f.c.cfg.OpenTimeout)
+	defer f.timer.Stop()
 	for {
 		select {
 		case m := <-f.inbox:
@@ -471,7 +497,7 @@ func (f *Flow) Close() error {
 			}
 		case <-f.c.closedCh:
 			return ErrClosed
-		case <-t.C:
+		case <-expired:
 			return ErrTimeout
 		}
 	}

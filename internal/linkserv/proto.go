@@ -22,6 +22,7 @@ package linkserv
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 
 	"ppr/internal/core/pparq"
 	"ppr/internal/frame"
@@ -47,7 +48,10 @@ const (
 	// payload.
 	MsgAir = 0x05
 	// MsgRx (client→server) returns the radio head's reception for one
-	// exchange. Body: exch(4) present(1) [reception].
+	// exchange. Body: exch(4) present(1) [reception], the reception being
+	// flags(1) kind(1) syncDist(4) payloadStart(4) missingPrefix(4)
+	// header(8) nDec(4) hint(1)×nDec nPay(4) payload. The decisions'
+	// symbols are not sent: they are nibbles of the payload bytes.
 	MsgRx = 0x06
 	// MsgDone (server→client) completes a transfer. Body: xid(4) status(1)
 	// errLen(2) err [stats delivered].
@@ -201,7 +205,11 @@ type airMsg struct {
 	Payload []byte
 }
 
+// airHeaderLen is a MsgAir body's size before the payload.
+const airHeaderLen = 4 + 1 + 3*2
+
 func appendAir(dst []byte, m airMsg) []byte {
+	dst = slices.Grow(dst, airHeaderLen+len(m.Payload))
 	dst = binary.BigEndian.AppendUint32(dst, m.Exch)
 	dst = append(dst, m.Dir)
 	dst = binary.BigEndian.AppendUint16(dst, m.Dst)
@@ -226,15 +234,23 @@ func parseAir(b []byte) (airMsg, error) {
 // packet has two symbols per payload byte, plus slack for header slop.
 const maxDecisions = 2*frame.MaxPayload + 64
 
-// appendReception serializes exch plus the (possibly absent) reception.
-// It is called before the pooled Receiver is released, so the reception's
-// scratch-backed views are still valid.
+// receptionFixedLen is a present reception's size in a MsgRx body apart
+// from its hints and payload: exch, presence, flags, kind, sync distance,
+// payload start, missing prefix, header, and the two counts.
+const receptionFixedLen = 4 + 1 + 1 + 1 + 3*4 + 4*2 + 4 + 4
+
+// appendReception serializes exch plus the (possibly absent) reception,
+// growing dst once to the exact size. Each decision travels as its hint
+// byte alone: its symbol is nibble MissingPrefix+i of PayloadBytes, which
+// the receiver assembled from exactly those symbols. It is called before
+// the pooled Receiver is released, so the reception's scratch-backed views
+// are still valid.
 func appendReception(dst []byte, exch uint32, rec *frame.Reception) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, exch)
 	if rec == nil {
-		return append(dst, 0)
+		return append(binary.BigEndian.AppendUint32(dst, exch), 0)
 	}
-	dst = append(dst, 1)
+	dst = slices.Grow(dst, receptionFixedLen+len(rec.Decisions)+len(rec.PayloadBytes))
+	dst = binary.BigEndian.AppendUint32(dst, exch)
 	var flags byte
 	if rec.HeaderOK {
 		flags |= 1
@@ -242,7 +258,7 @@ func appendReception(dst []byte, exch uint32, rec *frame.Reception) []byte {
 	if rec.CRCOK {
 		flags |= 2
 	}
-	dst = append(dst, flags, byte(rec.Kind))
+	dst = append(dst, 1, flags, byte(rec.Kind))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(rec.SyncDist))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(rec.PayloadStartChip))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(rec.MissingPrefix))
@@ -251,8 +267,10 @@ func appendReception(dst []byte, exch uint32, rec *frame.Reception) []byte {
 	dst = binary.BigEndian.AppendUint16(dst, rec.Hdr.Src)
 	dst = binary.BigEndian.AppendUint16(dst, rec.Hdr.Seq)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(rec.Decisions)))
-	for _, d := range rec.Decisions {
-		dst = append(dst, d.Symbol, d.Hint)
+	n := len(dst)
+	dst = dst[:n+len(rec.Decisions)]
+	for i, d := range rec.Decisions {
+		dst[n+i] = d.Hint
 	}
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(rec.PayloadBytes)))
 	return append(dst, rec.PayloadBytes...)
@@ -264,7 +282,8 @@ func appendReception(dst []byte, exch uint32, rec *frame.Reception) []byte {
 // counts disagree with its header is rejected.
 // Only appendReception's encoding is accepted — presence 0 or 1, no
 // unknown flag bits, no trailing bytes — so an accepted body re-encodes to
-// itself.
+// itself. The exact length also rejects a body that carries a symbol byte
+// beside each hint, whenever it has a decision.
 func parseReception(b []byte) (exch uint32, rec *frame.Reception, err error) {
 	c := cursor{b: b}
 	exch = c.u32()
@@ -304,20 +323,22 @@ func parseReception(b []byte) (exch uint32, rec *frame.Reception, err error) {
 	if r.MissingPrefix+nDec > frame.SymbolsPerByte*wantPay {
 		return 0, nil, errMalformed
 	}
-	if !c.need(nDec * 2) {
-		return 0, nil, errMalformed
-	}
-	r.Decisions = make([]phy.Decision, nDec)
-	for i := range r.Decisions {
-		r.Decisions[i] = phy.Decision{Symbol: c.u8(), Hint: c.u8()}
-	}
+	hints := c.bytes(nDec)
 	nPay := int(c.u32())
 	if c.bad || nPay != wantPay || nPay > frame.MaxPayload {
 		return 0, nil, errMalformed
 	}
-	r.PayloadBytes = append([]byte(nil), c.bytes(nPay)...)
+	pay := c.bytes(nPay)
 	if !c.ok() || c.off != len(b) {
 		return 0, nil, errMalformed
+	}
+	r.PayloadBytes = append([]byte(nil), pay...)
+	// Symbol j of the packet is nibble j of the payload, low nibble first;
+	// the shape check above keeps MissingPrefix+nDec within it.
+	r.Decisions = make([]phy.Decision, nDec)
+	for i, h := range hints {
+		j := r.MissingPrefix + i
+		r.Decisions[i] = phy.Decision{Symbol: pay[j/2] >> (4 * (j & 1)) & 0x0f, Hint: h}
 	}
 	return exch, r, nil
 }
@@ -336,13 +357,19 @@ type doneMsg struct {
 // maxDoneErr bounds a MsgDone error string; longer ones are cut.
 const maxDoneErr = 1024
 
+// doneFixedLen is a MsgDone body's size apart from its error string,
+// retransmission sizes and delivered bytes: xid, status, the three counts,
+// and the stats.
+const doneFixedLen = 4 + 1 + 2 + 3*8 + 5*4 + 4 + 4
+
 func appendDone(dst []byte, m doneMsg) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, m.Xid)
-	dst = append(dst, m.Status)
 	errStr := m.Err
 	if len(errStr) > maxDoneErr {
 		errStr = errStr[:maxDoneErr]
 	}
+	dst = slices.Grow(dst, doneFixedLen+len(errStr)+4*len(m.Stats.RetxPayloadSizes)+len(m.Delivered))
+	dst = binary.BigEndian.AppendUint32(dst, m.Xid)
+	dst = append(dst, m.Status)
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(errStr)))
 	dst = append(dst, errStr...)
 	st := m.Stats

@@ -22,6 +22,10 @@ type session struct {
 	sender *pparq.Sender
 	bo     Backoff
 	lane   *obs.TraceLane
+	// exchTimer bounds each sessLink.Transmit wait. Transmits run one at
+	// a time on the session goroutine, so one timer serves them all (see
+	// arm).
+	exchTimer *time.Timer
 
 	nextExch uint32
 	lastXid  uint32
@@ -215,8 +219,8 @@ func (l *sessLink) Transmit(f frame.Frame) *frame.Reception {
 		s.dead = true
 		return nil
 	}
-	timer := time.NewTimer(s.srv.cfg.ExchangeTimeout)
-	defer timer.Stop()
+	expired := arm(&s.exchTimer, s.srv.cfg.ExchangeTimeout)
+	defer s.exchTimer.Stop()
 	for {
 		select {
 		case m := <-s.inbox:
@@ -250,7 +254,7 @@ func (l *sessLink) Transmit(f frame.Frame) *frame.Reception {
 		case <-s.conn.closedCh:
 			s.dead = true
 			return nil
-		case <-timer.C:
+		case <-expired:
 			s.srv.m.exchTimeouts.Inc()
 			sleepOr(s.bo.Next(), s.conn.closedCh)
 			return nil

@@ -109,11 +109,19 @@ func ByteWord(b byte) uint64 { return byteWords[b] }
 // bitutil.PackChipBytes(ChipsOf(SpreadBytes(data))) without building
 // either intermediate.
 func SpreadPacked(data []byte) *bitutil.ChipWords {
-	words := make([]uint64, len(data))
+	w := new(bitutil.ChipWords)
+	SpreadInto(w, data)
+	return w
+}
+
+// SpreadInto is SpreadPacked writing into dst: dst becomes the 64·len(data)
+// chip stream of data, reusing its words when they have room. Every word
+// is rewritten, so nothing a previous user left in dst survives.
+func SpreadInto(dst *bitutil.ChipWords, data []byte) {
+	dst.Reset(64 * len(data))
 	for i, b := range data {
-		words[i] = byteWords[b]
+		dst.SetWord(i, byteWords[b])
 	}
-	return bitutil.ChipWordsOf(words)
 }
 
 // ChipsOf flattens codewords into a chip slice (one byte per chip, 0 or 1),

@@ -32,18 +32,26 @@ func TestSpreadDecodeRoundTripClean(t *testing.T) {
 // codeword-by-codeword spread, chip by chip: every single byte, then
 // random buffers.
 func TestSpreadPackedMatchesBytePath(t *testing.T) {
+	// reused is one buffer that SpreadInto rewrites for every input, left
+	// dirty in between, as a radio head's pooled chip words are.
+	var reused bitutil.ChipWords
 	check := func(data []byte) {
 		t.Helper()
 		got, want := SpreadPacked(data), bitutil.PackChipBytes(ChipsOf(SpreadBytes(data)))
 		if got.Len() != want.Len() || !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("SpreadPacked(% x) diverges from the codeword path", data[:min(len(data), 8)])
 		}
+		SpreadInto(&reused, data)
+		if reused.Len() != want.Len() || !bytes.Equal(reused.Bytes(), want.Bytes()) {
+			t.Fatalf("SpreadInto(% x) on a reused buffer diverges from the codeword path", data[:min(len(data), 8)])
+		}
+		reused.Fill(0, reused.Len(), 1)
 	}
 	for b := 0; b < 256; b++ {
 		check([]byte{byte(b)})
 	}
 	rng := stats.NewRNG(21)
-	for _, n := range []int{0, 2, 3, 17, 1500} {
+	for _, n := range []int{0, 2, 3, 17, 1500, 5} {
 		data := make([]byte, n)
 		for i := range data {
 			data[i] = byte(rng.Intn(256))

@@ -404,6 +404,9 @@ const guardChips = 2048
 type audibleTx struct {
 	tx      *Transmission
 	powerMW float64
+	// link marks a pair that clears ScoringMarginDB: only links yield
+	// outcomes, the others are interference.
+	link bool
 }
 
 // window is one independent delivery work unit: a burst of transmissions
@@ -416,6 +419,9 @@ type window struct {
 	length int
 	// members are the audible transmissions inside the window.
 	members []audibleTx
+	// links counts the members that are links: the window yields exactly
+	// two outcomes per link.
+	links int
 }
 
 // buildWindows clusters each receiver's audible transmissions into windows
@@ -430,7 +436,8 @@ func buildWindows(cfg Config, txs []*Transmission) []window {
 		var aud []audibleTx
 		for _, tx := range txs {
 			if p := tb.RxPowerMW(tx.Src, j); p >= floorMW {
-				aud = append(aud, audibleTx{tx, p})
+				link := tb.GainDBm[tx.Src][j] >= tb.Params.NoiseFloorDBm+ScoringMarginDB
+				aud = append(aud, audibleTx{tx, p, link})
 			}
 		}
 		for wStart := 0; wStart < len(aud); {
@@ -442,6 +449,12 @@ func buildWindows(cfg Config, txs []*Transmission) []window {
 				}
 				wEnd++
 			}
+			links := 0
+			for _, m := range aud[wStart:wEnd] {
+				if m.link {
+					links++
+				}
+			}
 			// Window bounds with margin.
 			origin := aud[wStart].tx.StartChip - 64
 			windows = append(windows, window{
@@ -449,6 +462,7 @@ func buildWindows(cfg Config, txs []*Transmission) []window {
 				origin:   origin,
 				length:   int(maxEnd-origin) + 64,
 				members:  aud[wStart:wEnd],
+				links:    links,
 			})
 			wStart = wEnd
 		}
@@ -492,12 +506,12 @@ func deliverWindow(cfg Config, w window, st *deliverState, rng *stats.RNG) []Out
 	st.syncs = frame.AppendSyncs(st.syncs[:0], buf, frame.DefaultSyncMaxDist)
 	recs, preamble := st.rx.ReceiveSynced(buf, st.syncs)
 
-	var outcomes []Outcome
+	outcomes := make([]Outcome, 0, 2*w.links)
 	for _, m := range w.members {
-		tx := m.tx
-		if tb.GainDBm[tx.Src][w.receiver] < tb.Params.NoiseFloorDBm+ScoringMarginDB {
-			continue // interference-only pair, not a link
+		if !m.link {
+			continue // interference-only pair
 		}
+		tx := m.tx
 		pre, post := matchReception(preamble, w.origin, tx), matchReception(recs, w.origin, tx)
 		lost := Outcome{TxID: tx.ID, Src: tx.Src, Receiver: w.receiver, TruthSyms: tx.TruthSyms}
 		o := lost
@@ -610,8 +624,13 @@ func DeliverContext(ctx context.Context, cfg Config, txs []*Transmission) ([]Out
 		wg.Wait()
 		close(results)
 	}()
-	// Collector: stream window batches into one trace as they complete.
-	var outcomes []Outcome
+	// Collector: stream window batches into one trace as they complete,
+	// sized up front from the windows' link counts.
+	total := 0
+	for _, w := range windows {
+		total += 2 * w.links
+	}
+	outcomes := make([]Outcome, 0, total)
 	for batch := range results {
 		outcomes = append(outcomes, batch...)
 	}
